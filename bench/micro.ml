@@ -87,6 +87,9 @@ let run_all ~fast =
   let _pk, sk = Crypto.Signature.keygen rng in
   let tsetup, tkeys = Crypto.Threshold.keygen rng ~threshold:20 ~parties:31 in
   let a_share = Crypto.Threshold.sign_share tkeys.(0) "m" in
+  (* the n = 256 quorum: 2f + 1 = 171 shares combine at threshold 2f = 170 *)
+  let q_setup, q_keys = Crypto.Threshold.keygen rng ~threshold:170 ~parties:256 in
+  let q_shares = List.init 171 (fun i -> Crypto.Threshold.sign_share q_keys.(i) "m") in
   let vote =
     Core.Msg.Prepare_vote
       { view = 3;
@@ -119,6 +122,7 @@ let run_all ~fast =
     bench "merkle/root-256" (fun () -> Crypto.Merkle.root leaves);
     bench "threshold/sign-share" (fun () -> Crypto.Threshold.sign_share tkeys.(0) "m");
     bench "threshold/verify-share" (fun () -> Crypto.Threshold.verify_share tsetup a_share "m");
+    bench "threshold/combine-171" (fun () -> Crypto.Threshold.combine q_setup "m" q_shares);
     bench "engine/event"
       (let e = Sim.Engine.create () in
        fun () ->

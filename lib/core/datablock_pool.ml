@@ -10,13 +10,15 @@ type t = {
   by_slot : (int * int, Crypto.Hash.t) Hashtbl.t; (* (creator, counter) -> hash *)
   pending : Crypto.Hash.t Queue.t;                (* arrival order, lazily cleaned *)
   mutable evidence : (Net.Node_id.t * Datablock.t * Datablock.t) list;
+  mutable generation : int;  (* bumped by [prune], the only removal *)
 }
 
 let create () =
   { by_hash = Crypto.Hash.Table.create 256;
     by_slot = Hashtbl.create 256;
     pending = Queue.create ();
-    evidence = [] }
+    evidence = [];
+    generation = 0 }
 
 let find t h =
   Option.map (fun e -> e.db) (Crypto.Hash.Table.find_opt t.by_hash h)
@@ -53,6 +55,32 @@ let missing_links t links = List.filter (fun h -> not (mem t h)) links
 let rec has_all_links t = function
   | [] -> true
   | h :: rest -> mem t h && has_all_links t rest
+
+(* Between two prunes the pool only grows, so a link once present stays
+   present and the cursor never needs to look behind [unseen] again. *)
+type cursor = {
+  links : Crypto.Hash.t list;
+  mutable unseen : Crypto.Hash.t list;  (* suffix of [links] from the first link not yet seen *)
+  mutable seen_in : int;                (* the generation [unseen] was computed in *)
+}
+
+let cursor t links = { links; unseen = links; seen_in = t.generation }
+
+let rec first_missing t = function
+  | h :: rest when mem t h -> first_missing t rest
+  | l -> l
+
+let cursor_complete t c =
+  if c.seen_in <> t.generation then begin
+    c.unseen <- c.links;
+    c.seen_in <- t.generation
+  end;
+  match c.unseen with
+  | [] -> true
+  | h :: _ when not (mem t h) -> false
+  | l ->
+    c.unseen <- first_missing t l;
+    c.unseen = []
 
 let rec drop_linked_head t =
   match Queue.peek_opt t.pending with
@@ -113,6 +141,7 @@ let equivocations t = List.rev t.evidence
 let size t = Crypto.Hash.Table.length t.by_hash
 
 let prune t ~keep =
+  t.generation <- t.generation + 1;
   let victims = ref [] in
   Crypto.Hash.Table.iter
     (fun h e -> if not (keep e.db) then victims := (h, e.db) :: !victims)

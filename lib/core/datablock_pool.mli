@@ -31,9 +31,22 @@ val missing_links : t -> Crypto.Hash.t list -> Crypto.Hash.t list
     Algorithm 2 line 16). *)
 
 val has_all_links : t -> Crypto.Hash.t list -> bool
-(** [missing_links t links = []] without allocating the missing list —
-    the readiness probe runs once per waiting proposal on every datablock
-    arrival, the hottest path in the replica at large n. *)
+(** [missing_links t links = []] without allocating the missing list.
+    The reference that {!cursor_complete} is tested against. *)
+
+type cursor
+(** An incremental {!has_all_links} probe over one fixed link list, for a
+    proposal that waits on its datablocks. It remembers the suffix of the
+    links not yet seen in the pool and the pool's prune generation. *)
+
+val cursor : t -> Crypto.Hash.t list -> cursor
+(** A fresh cursor over [links]. *)
+
+val cursor_complete : t -> cursor -> bool
+(** Equals [has_all_links t links] for the cursor's [links], at every
+    call. Between prunes the pool only grows, so the cursor advances past
+    links already seen and each link is tested about once over the wait;
+    a {!prune} since the last call resets it to the whole list. *)
 
 val pending : t -> int
 (** Number of unlinked datablocks (leader's proposal trigger). *)
@@ -66,4 +79,10 @@ val size : t -> int
 (** Stored datablocks. *)
 
 val prune : t -> keep:(Datablock.t -> bool) -> unit
-(** Garbage collection after a checkpoint. *)
+(** Garbage collection after a checkpoint. Starts a new generation, so
+    every {!cursor} re-checks its links from the head.
+
+    A pruned datablock is forgotten entirely, its (creator, counter) slot
+    included, and the replica keeps no executed-link record below the
+    watermark either: a late re-delivery of it after the prune is filed
+    again as {!Accepted} and counts as pending at a leader. *)

@@ -63,6 +63,11 @@ type metrics = {
   mempool_evicted : Obs.Counter.t;
 }
 
+(* A deferred proposal and the readiness cursor over its links, so the
+   retry on each datablock arrival resumes where the last check stopped
+   instead of re-walking every link from the head. *)
+type waiting = { serial : int; msg : Msg.t; links_ready : Datablock_pool.cursor }
+
 type t = {
   platform : Platform.t;
   cfg : Config.t;
@@ -87,10 +92,11 @@ type t = {
   mutable latest_checkpoint : Msg.checkpoint_cert option;
   checkpoint_quorums : (int, Hash.t * Quorum.t) Hashtbl.t;
   mutable executed_payload : int;
-  (* linked-by-executed-block datablocks, pruned at checkpoints *)
+  (* linked-by-executed-block datablocks, pruned with the pool at
+     checkpoints (only serials above lw remain) *)
   executed_links : int Hash.Table.t;       (* datablock hash -> executing sn *)
   (* proposals waiting for datablock availability *)
-  waiting_propose : (int, Msg.t) Hashtbl.t;
+  waiting_propose : (int, waiting) Hashtbl.t;
   mutable fetch_inflight : Hash.Set.t;
   (* view change *)
   mutable in_view_change : bool;
@@ -521,6 +527,12 @@ let apply_checkpoint_cert t (cert : Msg.checkpoint_cert) =
           match Hash.Table.find_opt t.executed_links (Datablock.hash db) with
           | Some sn -> sn > lw
           | None -> true);
+      (* The entries at or below lw name datablocks the prune just
+         dropped, and both readers (the [keep] test above and the
+         view-change relink) only ask about datablocks still pooled. *)
+      Hash.Table.filter_map_inplace
+        (fun _ sn -> if sn <= lw then None else Some sn)
+        t.executed_links;
       Hashtbl.iter
         (fun sn _ -> if sn <= lw then Hashtbl.remove t.waiting_propose sn)
         (Hashtbl.copy t.waiting_propose);
@@ -639,6 +651,10 @@ let leader_finish_prepare t inst block_hash shares =
           with_cpu t t.cfg.cost.tsig_share (fun () ->
               if active t then accept_notarization t inst proof))
 
+let defer_proposal t sn msg block =
+  Hashtbl.replace t.waiting_propose sn
+    { serial = sn; msg; links_ready = Datablock_pool.cursor t.pool block.Bftblock.links }
+
 (* Validation and first-round vote (prepare stage, lines 10-19). *)
 let try_vote_prepare t (msg : Msg.t) =
   match msg with
@@ -650,12 +666,12 @@ let try_vote_prepare t (msg : Msg.t) =
     if block.Bftblock.view > t.view || (block.Bftblock.view = t.view && t.in_view_change) then
       (* A proposal from a view we have not entered yet (it can overtake
          the new-view message on the wire): defer until we catch up. *)
-      Hashtbl.replace t.waiting_propose sn msg
+      defer_proposal t sn msg block
     else if view_ok && sn > t.lw + t.cfg.k then
       (* Above our window: our low watermark lags the leader's (its
          checkpoint certificate may still be in flight). Defer and retry
          when a checkpoint advances lw. *)
-      Hashtbl.replace t.waiting_propose sn msg;
+      defer_proposal t sn msg block;
     if view_ok && watermark_ok then begin
       let inst = instance_of t sn in
       refresh_instance_view t inst;
@@ -734,7 +750,7 @@ let try_vote_prepare t (msg : Msg.t) =
              leader after a grace period (it must have them, §4.3). The
              grace must cover the multicast serialization spread so
              data already in flight is not re-requested. *)
-          Hashtbl.replace t.waiting_propose sn msg;
+          defer_proposal t sn msg block;
           schedule t ~delay:t.cfg.fetch_grace (fun () ->
               if active t && Hashtbl.mem t.waiting_propose sn then
                 fetch_missing t (Datablock_pool.missing_links t.pool block.Bftblock.links))
@@ -748,20 +764,24 @@ let try_vote_prepare t (msg : Msg.t) =
        attacker-reachable panic is a one-message crash fault). *)
     tracef t "vote.unexpected" "%s" (Msg.kind_name (Msg.kind msg))
 
-(* Would [retry_waiting_proposals] act on this entry right now? Must stay
-   in lockstep with the retry body below; pulled out so the hot no-op scan
-   can run without building the snapshot list. *)
-let waiting_actionable t (m : Msg.t) =
-  match m with
+(* What [retry_waiting_proposals] does with one entry right now. The data
+   check goes through the entry's cursor, which always equals
+   [Datablock_pool.has_all_links] but resumes where the last check
+   stopped. *)
+type waiting_verdict = Retry | Drop | Keep
+
+let waiting_verdict t w =
+  match w.msg with
   | Msg.Propose { block; justification; _ } ->
-    let sn = block.Bftblock.sn in
-    let in_window = t.lw < sn && sn <= t.lw + t.cfg.k in
+    let in_window = t.lw < w.serial && w.serial <= t.lw + t.cfg.k in
     let view_ready = block.Bftblock.view <= t.view && not t.in_view_change in
     let data_ready =
-      justification <> None || Datablock_pool.has_all_links t.pool block.Bftblock.links
+      justification <> None || Datablock_pool.cursor_complete t.pool w.links_ready
     in
-    (in_window && view_ready && data_ready) || sn <= t.lw
-  | _ -> false
+    if in_window && view_ready && data_ready then Retry
+    else if w.serial <= t.lw then Drop
+    else Keep
+  | _ -> Keep
 
 let retry_waiting_proposals t =
   (* This runs once per receiver of every datablock multicast. The common
@@ -771,29 +791,20 @@ let retry_waiting_proposals t =
      actually ready to retry or drop. *)
   if
     Hashtbl.length t.waiting_propose > 0
-    && Hashtbl.fold (fun _ m any -> any || waiting_actionable t m) t.waiting_propose false
+    && Hashtbl.fold (fun _ w any -> any || waiting_verdict t w <> Keep) t.waiting_propose false
   then begin
-    let pending = Hashtbl.fold (fun _ m acc -> m :: acc) t.waiting_propose [] in
+    let pending = Hashtbl.fold (fun _ w acc -> w :: acc) t.waiting_propose [] in
     List.iter
-      (fun m ->
-        match m with
-        | Msg.Propose { block; justification; _ } ->
-          let sn = block.Bftblock.sn in
-          let in_window = t.lw < sn && sn <= t.lw + t.cfg.k in
-          let view_ready = block.Bftblock.view <= t.view && not t.in_view_change in
-          let data_ready =
-            justification <> None
-            || Datablock_pool.has_all_links t.pool block.Bftblock.links
-          in
-          if in_window && view_ready && data_ready then begin
-            (* Re-run validation now that the prerequisite is met; the
-               entry is cleared on a successful vote or re-deferred. *)
-            Hashtbl.remove t.waiting_propose sn;
-            let cost = t.cfg.cost.tsig_share in
-            with_cpu t cost (fun () -> if active t then try_vote_prepare t m)
-          end
-          else if sn <= t.lw then Hashtbl.remove t.waiting_propose sn
-        | _ -> ())
+      (fun w ->
+        match waiting_verdict t w with
+        | Retry ->
+          (* Re-run validation now that the prerequisite is met; the
+             entry is cleared on a successful vote or re-deferred. *)
+          Hashtbl.remove t.waiting_propose w.serial;
+          let cost = t.cfg.cost.tsig_share in
+          with_cpu t cost (fun () -> if active t then try_vote_prepare t w.msg)
+        | Drop -> Hashtbl.remove t.waiting_propose w.serial
+        | Keep -> ())
       pending
   end
 

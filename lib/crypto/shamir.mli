@@ -20,9 +20,11 @@ val reconstruct : share list -> Field.t
     corrupted) shares the result is an unrelated field element, matching
     the scheme's robustness property (garbage in, garbage out — detected
     by verifying the aggregate, not by interpolation itself).
-    Requires a non-empty list with pairwise distinct indices. *)
+    Requires a non-empty list with pairwise distinct indices. Costs one
+    field inversion and O(k{^2}) multiplications for [k] shares. *)
 
 val lagrange_coefficient : at:Field.t -> indices:int list -> int -> Field.t
 (** [lagrange_coefficient ~at ~indices i] is the basis coefficient of
-    party [i] when interpolating at point [at] over [indices]. Exposed for
-    property tests. *)
+    party [i] when interpolating at point [at] over [indices], computed
+    pairwise (k - 1 inversions). The reference that {!reconstruct} is
+    property-tested against. *)

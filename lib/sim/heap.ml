@@ -1,19 +1,11 @@
 (* Structure-of-arrays binary min-heap.
 
-   The previous implementation stored one {key; seq; value} record per
-   entry, so every [add] allocated and every comparison chased a pointer
-   (plus a boxed-int64 compare). Here each logical field lives in its own
-   flat array and the int64 key is split into two immediate ints:
-
-     hi = signed high 32 bits     (Int64.shift_right key 32)
-     lo = unsigned low 32 bits    (Int64.logand key 0xFFFFFFFF)
-
-   Lexicographic (hi, lo, seq) equals signed int64 (key, seq) order —
-   base-2^32 digits with a signed leading digit — and compares with plain
-   int operations only, which matters without flambda where int64 locals
-   stay boxed. Engine keys are nanosecond timestamps that fit an OCaml
-   int, so the engine uses the [_ns] entry points and never touches an
-   int64 on its fast path.
+   Each logical field lives in its own flat array: the key (an int
+   nanosecond timestamp), the tie-breaking sequence number and the value.
+   Insertion allocates nothing beyond amortized array growth, and
+   comparisons are plain int operations on immediate values. The int64
+   API is a thin wrapper for callers (tests) that think in int64 keys; it
+   requires each key to fit an OCaml int.
 
    Values are stored as [Obj.t] so the slot array is a uniform (never
    flat-float) array with a shared filler; a popped entry's slot is reset
@@ -21,8 +13,7 @@
    it no longer contains. *)
 
 type 'a t = {
-  mutable hi : int array;
-  mutable lo : int array;
+  mutable keys : int array;
   mutable seqs : int array;
   mutable vals : Obj.t array;
   mutable size : int;
@@ -30,27 +21,21 @@ type 'a t = {
 
 let filler : Obj.t = Obj.repr 0
 
-let create () = { hi = [||]; lo = [||]; seqs = [||]; vals = [||]; size = 0 }
+let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0 }
 let length h = h.size
 let is_empty h = h.size = 0
-
-let key_at h i =
-  Int64.logor (Int64.shift_left (Int64.of_int h.hi.(i)) 32) (Int64.of_int h.lo.(i))
 
 let grow h =
   let cap = Array.length h.seqs in
   if h.size = cap then begin
     let ncap = if cap = 0 then 16 else cap * 2 in
-    let nhi = Array.make ncap 0
-    and nlo = Array.make ncap 0
+    let nkeys = Array.make ncap 0
     and nseqs = Array.make ncap 0
     and nvals = Array.make ncap filler in
-    Array.blit h.hi 0 nhi 0 h.size;
-    Array.blit h.lo 0 nlo 0 h.size;
+    Array.blit h.keys 0 nkeys 0 h.size;
     Array.blit h.seqs 0 nseqs 0 h.size;
     Array.blit h.vals 0 nvals 0 h.size;
-    h.hi <- nhi;
-    h.lo <- nlo;
+    h.keys <- nkeys;
     h.seqs <- nseqs;
     h.vals <- nvals
   end
@@ -58,31 +43,26 @@ let grow h =
 (* Hole-based sift: carry the moving entry in locals and shift blockers
    into the hole, writing each array once per level instead of swapping. *)
 
-let set h i khi klo seq v =
-  h.hi.(i) <- khi;
-  h.lo.(i) <- klo;
+let set h i key seq v =
+  h.keys.(i) <- key;
   h.seqs.(i) <- seq;
   h.vals.(i) <- v
 
-let sift_up h i khi klo seq v =
+let sift_up h i key seq v =
   let i = ref i in
   let continue = ref true in
   while !continue && !i > 0 do
     let p = (!i - 1) / 2 in
-    let phi = h.hi.(p) in
-    if
-      khi < phi
-      || (khi = phi
-          && (klo < h.lo.(p) || (klo = h.lo.(p) && seq < h.seqs.(p))))
-    then begin
-      set h !i phi h.lo.(p) h.seqs.(p) h.vals.(p);
+    let pkey = h.keys.(p) in
+    if key < pkey || (key = pkey && seq < h.seqs.(p)) then begin
+      set h !i pkey h.seqs.(p) h.vals.(p);
       i := p
     end
     else continue := false
   done;
-  set h !i khi klo seq v
+  set h !i key seq v
 
-let sift_down h khi klo seq v =
+let sift_down h key seq v =
   let size = h.size in
   let i = ref 0 in
   let continue = ref true in
@@ -94,85 +74,64 @@ let sift_down h khi klo seq v =
       (* smallest child *)
       let c =
         if r < size then begin
-          let lhi = h.hi.(l) and rhi = h.hi.(r) in
-          if
-            rhi < lhi
-            || (rhi = lhi
-                && (h.lo.(r) < h.lo.(l)
-                    || (h.lo.(r) = h.lo.(l) && h.seqs.(r) < h.seqs.(l))))
-          then r
-          else l
+          let lkey = h.keys.(l) and rkey = h.keys.(r) in
+          if rkey < lkey || (rkey = lkey && h.seqs.(r) < h.seqs.(l)) then r else l
         end
         else l
       in
-      let chi = h.hi.(c) in
-      if
-        chi < khi
-        || (chi = khi
-            && (h.lo.(c) < klo || (h.lo.(c) = klo && h.seqs.(c) < seq)))
-      then begin
-        set h !i chi h.lo.(c) h.seqs.(c) h.vals.(c);
+      let ckey = h.keys.(c) in
+      if ckey < key || (ckey = key && h.seqs.(c) < seq) then begin
+        set h !i ckey h.seqs.(c) h.vals.(c);
         i := c
       end
       else continue := false
     end
   done;
-  set h !i khi klo seq v
+  set h !i key seq v
 
-let add_split h khi klo ~seq v =
+let add_ns h ~key_ns ~seq value =
   grow h;
   let i = h.size in
   h.size <- i + 1;
-  sift_up h i khi klo seq v
+  sift_up h i key_ns seq (Obj.repr value)
 
 let add h ~key ~seq value =
-  add_split h
-    (Int64.to_int (Int64.shift_right key 32))
-    (Int64.to_int (Int64.logand key 0xFFFFFFFFL))
-    ~seq (Obj.repr value)
-
-(* Nanosecond timestamps are nonnegative ints, for which the arithmetic
-   int shift produces the same (hi, lo) digits as the int64 split. *)
-let add_ns h ~key_ns ~seq value =
-  add_split h (key_ns asr 32) (key_ns land 0xFFFFFFFF) ~seq (Obj.repr value)
+  let key_ns = Int64.to_int key in
+  if not (Int64.equal (Int64.of_int key_ns) key) then
+    invalid_arg "Heap.add: key does not fit an int";
+  add_ns h ~key_ns ~seq value
 
 let pop_at_root h =
   let last = h.size - 1 in
   h.size <- last;
   if last > 0 then begin
-    let khi = h.hi.(last)
-    and klo = h.lo.(last)
-    and seq = h.seqs.(last)
-    and v = h.vals.(last) in
+    let key = h.keys.(last) and seq = h.seqs.(last) and v = h.vals.(last) in
     h.vals.(last) <- filler;
-    sift_down h khi klo seq v
+    sift_down h key seq v
   end
   else h.vals.(0) <- filler
 
-let pop_min h =
-  if h.size = 0 then None
-  else begin
-    let key = key_at h 0 and seq = h.seqs.(0) in
-    let value : 'a = Obj.obj h.vals.(0) in
-    pop_at_root h;
-    Some (key, seq, value)
-  end
+let peek_key_ns h = h.keys.(0)
+let peek_seq h = h.seqs.(0)
 
 let peek_min h =
   if h.size = 0 then None
-  else Some (key_at h 0, h.seqs.(0), (Obj.obj h.vals.(0) : 'a))
-
-let peek_key_ns h = (h.hi.(0) lsl 32) lor h.lo.(0)
-let peek_seq h = h.seqs.(0)
+  else Some (Int64.of_int h.keys.(0), h.seqs.(0), (Obj.obj h.vals.(0) : 'a))
 
 let pop_value h =
   let value : 'a = Obj.obj h.vals.(0) in
   pop_at_root h;
   value
 
+let pop_min h =
+  match peek_min h with
+  | None -> None
+  | some ->
+    pop_at_root h;
+    some
+
 let clear h =
-  h.hi <- [||];
-  h.lo <- [||];
+  h.keys <- [||];
   h.seqs <- [||];
   h.vals <- [||];
   h.size <- 0

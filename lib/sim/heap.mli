@@ -1,15 +1,18 @@
-(** Binary min-heap keyed by [(int64, int)] pairs.
+(** Binary min-heap keyed by [(int, int)] pairs.
 
     The event queue of the simulation engine: the primary key is the firing
     instant, the secondary key a strictly increasing sequence number so that
     events scheduled for the same instant fire in schedule order (FIFO),
     which keeps runs deterministic.
 
-    The layout is structure-of-arrays: keys (split into immediate-int
-    halves), sequence numbers and values live in parallel flat arrays, so
-    insertion allocates nothing beyond amortized array growth and
-    comparisons never touch a boxed int64. Popped slots are cleared, so the
-    heap holds no reference to values it no longer contains. *)
+    The layout is structure-of-arrays: int keys, sequence numbers and
+    values live in parallel flat arrays, so insertion allocates nothing
+    beyond amortized array growth and comparisons are immediate-int
+    operations. Popped slots are cleared, so the heap holds no reference
+    to values it no longer contains.
+
+    The int64 entry points ({!add}, {!pop_min}, {!peek_min}) are thin
+    wrappers over the int ones: every key must fit an OCaml int. *)
 
 type 'a t
 
@@ -22,7 +25,8 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val add : 'a t -> key:int64 -> seq:int -> 'a -> unit
-(** [add h ~key ~seq v] inserts [v] with priority [(key, seq)]. *)
+(** [add h ~key ~seq v] inserts [v] with priority [(key, seq)].
+    @raise Invalid_argument if [key] does not fit an int. *)
 
 val pop_min : 'a t -> (int64 * int * 'a) option
 (** Removes and returns the minimum element, or [None] when empty. *)
@@ -35,18 +39,16 @@ val clear : 'a t -> unit
 
 (** {2 Unboxed fast path}
 
-    For callers whose keys are nonnegative ints (nanosecond timestamps):
-    the same ordering as the int64 API, with no boxing and no option or
-    tuple allocation. The peek/pop functions below require a non-empty
+    For callers whose keys are ints (nanosecond timestamps): the same
+    ordering as the int64 API, with no boxing and no option or tuple
+    allocation. The peek/pop functions below require a non-empty
     heap (unchecked); guard with {!is_empty} or {!length}. *)
 
 val add_ns : 'a t -> key_ns:int -> seq:int -> 'a -> unit
-(** [add h ~key:(Int64.of_int key_ns) ~seq v], allocation-free. Requires
-    [key_ns >= 0]; ordering is consistent with int64-keyed entries. *)
+(** [add h ~key:(Int64.of_int key_ns) ~seq v], allocation-free. *)
 
 val peek_key_ns : 'a t -> int
-(** Root key as an int. Meaningful only when every key was added via
-    {!add_ns} (or otherwise fits in an int). *)
+(** Root key. *)
 
 val peek_seq : 'a t -> int
 (** Root sequence number. *)

@@ -50,6 +50,7 @@ fi
 
 run_step build dune build
 run_step tier1-tests dune runtest
+run_step perfbench-selftest python3 perfbench/run.py --self-test
 run_step bench-micro dune exec bench/main.exe -- --only micro --fast --check-regressions
 run_step bench-macro dune exec bench/main.exe -- --only macro --fast --check-regressions
 run_step bench-net dune exec bench/main.exe -- --only net --fast --check-regressions

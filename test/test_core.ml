@@ -206,6 +206,45 @@ let test_pool_relink_pending () =
     ~also_executed:(fun _ -> false);
   checki "db2 pending again" 1 (Core.Datablock_pool.pending pool)
 
+(* The readiness cursor against its definition: random adds and prunes
+   (each prune starts a new generation) over a fixed set of datablocks,
+   with several cursors over random link lists, some naming a datablock
+   that never arrives. After every step each cursor must answer exactly
+   what [has_all_links] answers from the head. *)
+let test_pool_cursor_matches_has_all_links () =
+  let _, sk = keypair () in
+  let r = Rng.create 77L in
+  let dbs = Array.init 12 (fun i -> mk_db ~counter:(i + 1) sk) in
+  let hashes = Array.map Core.Datablock.hash dbs in
+  let ghost = Crypto.Hash.of_string "never arrives" in
+  let pool = Core.Datablock_pool.create () in
+  let random_links () =
+    let links = List.init (1 + Rng.int r 8) (fun _ -> hashes.(Rng.int r 12)) in
+    if Rng.int r 5 = 0 then links @ [ ghost ] else links
+  in
+  let cursors =
+    ref (List.init 6 (fun _ ->
+             let links = random_links () in
+             (links, Core.Datablock_pool.cursor pool links)))
+  in
+  for step = 1 to 2_000 do
+    (match Rng.int r 10 with
+     | 0 ->
+       let keep_odd = Rng.bool r in
+       Core.Datablock_pool.prune pool ~keep:(fun db ->
+           db.Core.Datablock.header.Core.Datablock.counter mod 2 = Bool.to_int keep_odd)
+     | 1 ->
+       let links = random_links () in
+       cursors := (links, Core.Datablock_pool.cursor pool links) :: List.tl !cursors
+     | _ -> ignore (Core.Datablock_pool.add pool dbs.(Rng.int r 12)));
+    List.iter
+      (fun (links, c) ->
+        let expect = Core.Datablock_pool.has_all_links pool links in
+        if Core.Datablock_pool.cursor_complete pool c <> expect then
+          Alcotest.failf "step %d: cursor disagrees with has_all_links (%b)" step expect)
+      !cursors
+  done
+
 let test_pool_prune () =
   let _, sk = keypair () in
   let pool = Core.Datablock_pool.create () in
@@ -407,7 +446,9 @@ let () =
           Alcotest.test_case "pending & take" `Quick test_pool_pending_take;
           Alcotest.test_case "mark linked & missing" `Quick test_pool_mark_linked_and_missing;
           Alcotest.test_case "relink pending" `Quick test_pool_relink_pending;
-          Alcotest.test_case "prune" `Quick test_pool_prune ] );
+          Alcotest.test_case "prune" `Quick test_pool_prune;
+          Alcotest.test_case "cursor matches has_all_links" `Quick
+            test_pool_cursor_matches_has_all_links ] );
       ("quorum", [ Alcotest.test_case "ready once" `Quick test_quorum_ready_once ]);
       ( "ledger",
         [ Alcotest.test_case "sequential execution" `Quick test_ledger_sequential_execution;

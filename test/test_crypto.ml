@@ -156,6 +156,35 @@ let prop_shamir_any_subset =
       let subset = [ shares.(1); shares.(4); shares.(6) ] in
       F.equal (Crypto.Shamir.reconstruct subset) secret)
 
+(* The batch-inversion combine against the pairwise definition: on a
+   random subset of a random sharing (any size, so the t-share garbage
+   case is covered too), [reconstruct] equals sum_i l_i(0) * v_i with each
+   l_i(0) from [lagrange_coefficient]. Thresholds reach 200, past the
+   171-share quorum of n = 256. *)
+let prop_shamir_matches_pairwise =
+  QCheck.Test.make ~name:"reconstruct matches pairwise lagrange" ~count:40
+    QCheck.(triple int64 (int_range 0 200) (int_range 1 40))
+    (fun (seed, threshold, extra) ->
+      let parties = threshold + extra in
+      let rng = Sim.Rng.create seed in
+      let shares = Crypto.Shamir.deal rng ~secret:(F.random rng) ~threshold ~parties in
+      for i = parties - 1 downto 1 do
+        let j = Sim.Rng.int rng (i + 1) in
+        let s = shares.(i) in
+        shares.(i) <- shares.(j);
+        shares.(j) <- s
+      done;
+      let subset = Array.to_list (Array.sub shares 0 (1 + Sim.Rng.int rng parties)) in
+      let indices = List.map (fun (s : Crypto.Shamir.share) -> s.index) subset in
+      let reference =
+        List.fold_left
+          (fun acc (s : Crypto.Shamir.share) ->
+            let c = Crypto.Shamir.lagrange_coefficient ~at:F.zero ~indices s.index in
+            F.add acc (F.mul c s.value))
+          F.zero subset
+      in
+      F.equal (Crypto.Shamir.reconstruct subset) reference)
+
 let test_shamir_insufficient_is_wrong () =
   (* With only t shares, interpolation yields an unrelated value (whp). *)
   let rng = Sim.Rng.create 1234L in
@@ -327,7 +356,7 @@ let () =
       ( "shamir",
         [ Alcotest.test_case "insufficient shares wrong" `Quick test_shamir_insufficient_is_wrong;
           Alcotest.test_case "lagrange sums to one" `Quick test_lagrange_sums_to_one ]
-        @ qsuite [ prop_shamir_roundtrip; prop_shamir_any_subset ] );
+        @ qsuite [ prop_shamir_roundtrip; prop_shamir_any_subset; prop_shamir_matches_pairwise ] );
       ( "signature",
         [ Alcotest.test_case "roundtrip" `Quick test_signature_roundtrip ]
         @ qsuite [ prop_signature_binding ] );

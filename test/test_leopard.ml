@@ -459,6 +459,39 @@ let test_mem_store_report_identical () =
   checkb "mem-store report byte-identical to null-store" true
     (String.equal without with_mem)
 
+(* Executed-link bookkeeping is pruned with the pool at each checkpoint,
+   so snapshots stay bounded by the watermark window instead of growing
+   with run length: every saved snapshot holds only serials above its
+   own low watermark. *)
+let test_snapshot_executed_links_above_lw () =
+  let saved = ref [] in
+  let recording () =
+    let inner = Core.Store.mem () in
+    { inner with
+      Core.Store.save =
+        (fun s ->
+          saved := s :: !saved;
+          inner.Core.Store.save s) }
+  in
+  let spec =
+    Core.Runner.spec ~cfg:(small_cfg ()) ~seed:13L ~load:400. ~duration:(Sim_time.s 12)
+      ~warmup:(Sim_time.s 2) ~load_until:(Sim_time.s 6)
+      ~stores:(Array.init 4 (fun _ -> recording ())) ()
+  in
+  ignore (Core.Runner.run spec);
+  checkb "snapshots past the first checkpoint" true
+    (List.exists (fun s -> s.Core.Store.snap_lw > 0) !saved);
+  checkb "some snapshot still holds executed links" true
+    (List.exists (fun s -> s.Core.Store.snap_executed_links <> []) !saved);
+  List.iter
+    (fun (s : Core.Store.snapshot) ->
+      List.iter
+        (fun (_, sn) ->
+          if sn <= s.snap_lw then
+            Alcotest.failf "snapshot at lw=%d keeps executed link of sn%d" s.snap_lw sn)
+        s.snap_executed_links)
+    !saved
+
 (* The vote-safety heart of recovery: restart a replica after it emitted
    a prepare share (and before the notarization settles), then re-deliver
    the same proposal. The recovered replica must answer with the very
@@ -528,6 +561,66 @@ let test_restart_resends_same_share () =
         (List.length (Core.Datablock_pool.equivocations (Core.Replica.pool r))))
     (Core.Runner.replicas t)
 
+(* -- Pinned reports ---------------------------------------------------------- *)
+
+(* The report rendered as text: every field, floats in exact hexadecimal
+   notation, the latency histogram as its count, extremes, mean and a
+   percentile ladder. Plain text (not [Marshal]) so the digest does not
+   depend on the compiler's value layout. *)
+let render_report (r : Core.Runner.report) =
+  let b = Buffer.create 4096 in
+  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+  let view name (v : Core.Runner.bandwidth_view) =
+    line "%s sent=%d received=%d" name v.sent_bytes v.received_bytes;
+    List.iter (fun (c, n) -> line "%s sent %s=%d" name c n) v.sent_by_category;
+    List.iter (fun (c, n) -> line "%s recv %s=%d" name c n) v.received_by_category
+  in
+  line "n=%d offered=%d confirmed=%d" r.n r.offered r.confirmed;
+  line "throughput=%h goodput=%h leader_bps=%h window=%h" r.throughput r.goodput_bps
+    r.leader_bps r.window_sec;
+  let h = r.latency in
+  line "latency count=%d mean=%h min=%h max=%h" (Stats.Histogram.count h)
+    (Stats.Histogram.mean h) (Stats.Histogram.min_value h) (Stats.Histogram.max_value h);
+  for pct = 0 to 100 do
+    line "latency p%d=%h" pct (Stats.Histogram.quantile h (float_of_int pct /. 100.))
+  done;
+  List.iter (fun (stage, secs) -> line "stage %s=%h" stage secs) r.stage_seconds;
+  view "leader" r.leader;
+  view "non_leader" r.non_leader;
+  line "executed_blocks=%d view_changes=%d final_view=%d" r.executed_blocks r.view_changes
+    r.final_view;
+  (match r.vc_trigger_to_entry with
+   | Some s -> line "vc_trigger_to_entry=%h" s
+   | None -> line "vc_trigger_to_entry=none");
+  line "vc_bytes=%d equivocations=%d all_confirmed=%b safety=%b" r.vc_bytes
+    r.equivocations_detected r.all_confirmed r.safety_ok;
+  Buffer.contents b
+
+(* The configuration and run of [leopard_cli run] with its defaults. *)
+let cli_spec ?(silent = false) ?stop_leader_at ?client_resend_timeout n =
+  let cfg =
+    Core.Config.make ~n ~payload:128 ~datablock_timeout:(Sim_time.ms 500)
+      ~proposal_timeout:(Sim_time.ms 500) ()
+  in
+  let byzantine = if silent then Core.Runner.silent_f cfg else [] in
+  Core.Runner.spec ~cfg ~seed:42L ~load:50_000. ~duration:(Sim_time.s 15)
+    ~warmup:(Sim_time.s 4) ~byzantine ?stop_leader_at ?client_resend_timeout ()
+
+(* Pins simulated behaviour across commits, where the byte-identical
+   tests above only compare two runs of one build. A change that moves
+   any simulated outcome moves a digest; re-pinning is a deliberate,
+   recorded act. *)
+let test_pinned_report_digests () =
+  List.iter
+    (fun (name, spec, pinned) ->
+      let digest = Digest.to_hex (Digest.string (render_report (Core.Runner.run spec))) in
+      Alcotest.(check string) name pinned digest)
+    [ ("n=16 honest", cli_spec 16, "846549b264ce33c78c321271ffc9e7a9");
+      ("n=64 f silent", cli_spec ~silent:true 64, "edfdcd52552c323a05980b42fa898a83");
+      ( "n=16 leader stop + resend",
+        cli_spec ~stop_leader_at:(Sim_time.s 3) ~client_resend_timeout:(Sim_time.s 1) 16,
+        "5c2dea6f73f207a40c2fb6c5c36cf769" ) ]
+
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
 
 let () =
@@ -541,6 +634,7 @@ let () =
             test_metrics_do_not_perturb_report;
           Alcotest.test_case "pool sizes 1/2/4 byte-identical" `Quick
             test_pool_size_determinism;
+          Alcotest.test_case "pinned report digests" `Quick test_pinned_report_digests;
           Alcotest.test_case "latency breakdown" `Quick test_latency_breakdown_components;
           Alcotest.test_case "bandwidth shape" `Quick test_bandwidth_accounting_shape ] );
       ( "silent faults",
@@ -574,6 +668,8 @@ let () =
       ( "durable store",
         [ Alcotest.test_case "mem store keeps reports byte-identical" `Quick
             test_mem_store_report_identical;
+          Alcotest.test_case "snapshot executed links above lw" `Quick
+            test_snapshot_executed_links_above_lw;
           Alcotest.test_case "restart re-sends the same prepare share" `Quick
             test_restart_resends_same_share ] );
       ( "internals",

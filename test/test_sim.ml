@@ -122,9 +122,20 @@ let test_heap_pop_releases_value () =
   checkb "popped value reclaimed" true (Weak.get w 0 = None);
   checki "survivor retained" 1 (Heap.length h)
 
+(* Keys are ints; the int64 wrapper refuses one that would wrap. *)
+let test_heap_rejects_wide_key () =
+  let h = Heap.create () in
+  Alcotest.check_raises "above max_int"
+    (Invalid_argument "Heap.add: key does not fit an int") (fun () ->
+      Heap.add h ~key:Int64.max_int ~seq:0 ());
+  Heap.add h ~key:(Int64.of_int min_int) ~seq:1 ();
+  checkb "min_int accepted" true (Heap.peek_min h = Some (Int64.of_int min_int, 1, ()))
+
 let prop_heap_sorted =
+  (* Keys span the whole int range (the heap's key domain), negatives
+     included. *)
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list (pair int64 small_nat))
+    QCheck.(list (pair (map Int64.of_int int) small_nat))
     (fun pairs ->
       let h = Heap.create () in
       List.iteri (fun i (k, _) -> Heap.add h ~key:k ~seq:i ()) pairs;
@@ -296,7 +307,8 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "peek" `Quick test_heap_peek;
           Alcotest.test_case "random ops vs model" `Quick test_heap_random_vs_model;
-          Alcotest.test_case "pop releases value" `Quick test_heap_pop_releases_value ]
+          Alcotest.test_case "pop releases value" `Quick test_heap_pop_releases_value;
+          Alcotest.test_case "rejects wide key" `Quick test_heap_rejects_wide_key ]
         @ qsuite [ prop_heap_sorted ] );
       ( "rng",
         [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
