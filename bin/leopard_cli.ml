@@ -14,6 +14,12 @@ open Cmdliner
 
 let span_of_sec s = Sim.Sim_time.of_sec s
 
+(* A configuration error ends the command with a one-line message, not
+   an uncaught exception: [let*] turns an [Error] into cmdliner's. *)
+let ( let* ) r k = match r with Ok v -> k v | Error msg -> `Error (false, msg)
+
+let config make = match make () with cfg -> Ok cfg | exception Invalid_argument msg -> Error msg
+
 (* Shared by `run` and `local-cluster`: dump a recorded protocol trace
    as one line per entry. *)
 let dump_trace trace file =
@@ -41,9 +47,11 @@ let pp_bandwidth_view title (v : Core.Runner.bandwidth_view) =
 
 let leopard_run n load duration warmup alpha bft_size payload mempool_cap silent stop_leader
     resend gst seed bandwidth_mbps db_timeout prop_timeout trace_out metrics_out verbose =
-  let cfg =
-    Core.Config.make ~n ?alpha ?bft_size ~payload ~mempool_cap
-      ~datablock_timeout:(span_of_sec db_timeout) ~proposal_timeout:(span_of_sec prop_timeout) ()
+  let* cfg =
+    config (fun () ->
+        Core.Config.make ~n ?alpha ?bft_size ~payload ~mempool_cap
+          ~datablock_timeout:(span_of_sec db_timeout)
+          ~proposal_timeout:(span_of_sec prop_timeout) ())
   in
   let link =
     match bandwidth_mbps with
@@ -102,17 +110,19 @@ let local_cluster_run n load client_rate duration drain alpha bft_size payload m
     db_timeout prop_timeout min_confirmed kill kill_at revive_at verify_domains data_dir fsync
     trace_out metrics_out metrics_interval_ns =
   let load = Option.value client_rate ~default:load in
-  let cfg =
-    Core.Config.make ~n ~alpha ~bft_size ~payload ~mempool_cap
-      ~datablock_timeout:(span_of_sec db_timeout)
-      ~proposal_timeout:(span_of_sec prop_timeout) ()
+  let* cfg =
+    config (fun () ->
+        Core.Config.make ~n ~alpha ~bft_size ~payload ~mempool_cap
+          ~datablock_timeout:(span_of_sec db_timeout)
+          ~proposal_timeout:(span_of_sec prop_timeout) ())
   in
-  let kill =
+  let* () = Transport.Cluster.check_size ~n in
+  let* kill =
     match kill with
-    | None -> None
-    | Some id ->
-      if id < 0 || id >= n then invalid_arg "--kill: no such replica";
-      Some (id, span_of_sec kill_at, Option.map span_of_sec revive_at)
+    | Some id when id < 0 || id >= n ->
+      Error (Printf.sprintf "--kill %d: no such replica (ids are 0 to %d)" id (n - 1))
+    | _ ->
+      Ok (Option.map (fun id -> (id, span_of_sec kill_at, Option.map span_of_sec revive_at)) kill)
   in
   let trace =
     match trace_out with
@@ -130,14 +140,10 @@ let local_cluster_run n load client_rate duration drain alpha bft_size payload m
                         | None -> "")
    | None -> ());
   (match data_dir with
-   | Some dir -> Format.printf "durable state: %s (fsync=%s)@." dir fsync
+   | Some dir ->
+     let name = fst (List.find (fun (_, p) -> p = fsync) Store.Wal.fsync_policies) in
+     Format.printf "durable state: %s (fsync=%s)@." dir name
    | None -> ());
-  let fsync =
-    match fsync with
-    | "always" -> Store.Wal.Always
-    | "interval" -> Store.Wal.Interval 50_000_000
-    | _ -> Store.Wal.Never
-  in
   let r =
     Transport.Cluster.run ~cfg ~load ~duration:(span_of_sec duration)
       ~drain:(span_of_sec drain) ?min_confirmed ?kill ?trace ?verify_domains
@@ -228,7 +234,7 @@ let chaos_run list_only scenario plane sim_ns tcp_n seed trace_dir keep_traces m
 (* ---------------- hotstuff ---------------- *)
 
 let hotstuff_run n load duration warmup batch payload seed bandwidth_mbps =
-  let cfg = Hotstuff.Hs_config.make ~n ~batch_size:batch ~payload () in
+  let* cfg = config (fun () -> Hotstuff.Hs_config.make ~n ~batch_size:batch ~payload ()) in
   let link =
     match bandwidth_mbps with
     | Some mb -> Net.Network.{ default_link with out_bps = mbps mb; in_bps = mbps mb }
@@ -252,7 +258,7 @@ let hotstuff_run n load duration warmup batch payload seed bandwidth_mbps =
 (* ---------------- pbft ---------------- *)
 
 let pbft_run n load duration warmup batch payload seed =
-  let cfg = Pbft.make_cfg ~n ~batch_size:batch ~payload () in
+  let* cfg = config (fun () -> Pbft.make_cfg ~n ~batch_size:batch ~payload ()) in
   let spec =
     Pbft.spec ~cfg ~seed ~load ~duration:(span_of_sec duration) ~warmup:(span_of_sec warmup) ()
   in
@@ -411,8 +417,7 @@ let local_cluster_cmd =
   in
   let fsync =
     Arg.(value
-         & opt (enum [ ("always", "always"); ("interval", "interval"); ("never", "never") ])
-             "never"
+         & opt (enum Store.Wal.fsync_policies) Store.Wal.Never
          & info [ "fsync" ]
              ~doc:
                "WAL durability policy: $(b,always) fsyncs every append, $(b,interval) \

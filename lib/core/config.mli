@@ -30,8 +30,6 @@ type t = {
           with fetches for data that is already in flight *)
   cost : Crypto.Cost_model.t;
   cores : int;            (** CPU cores per replica (c5.xlarge: 4) *)
-  verify_shares_eagerly : bool;
-      (** verify each vote share on arrival instead of at aggregation *)
   priority_channels : bool;
       (** §6.1's two-channel design: consensus messages (channel ①)
           overtake queued datablocks (channel ②). Disable for the
@@ -47,9 +45,6 @@ type t = {
       (** admission bound on pending mempool requests; submissions past
           it are rejected with an explicit verdict (0 = unbounded, the
           seed behaviour) *)
-  mempool_max_age : Sim.Sim_time.span;
-      (** evict unconfirmed batches older than this from the mempool —
-          a stalled consumer cannot pin memory forever (0 disables) *)
   pace_on_pressure : bool;
       (** leader/packer pacing: defer datablock production while the
           transport's egress queues sit at or above their high-water
@@ -70,12 +65,10 @@ val make :
   ?fetch_grace:Sim.Sim_time.span ->
   ?cost:Crypto.Cost_model.t ->
   ?cores:int ->
-  ?verify_shares_eagerly:bool ->
   ?priority_channels:bool ->
   ?leader_generates_datablocks:bool ->
   ?punish_equivocators:bool ->
   ?mempool_cap:int ->
-  ?mempool_max_age:Sim.Sim_time.span ->
   ?pace_on_pressure:bool ->
   unit ->
   t
@@ -83,7 +76,7 @@ val make :
     every [k/2], 128-byte payload, [s = 1], partial-pack and short-timer
     disabled (pure Algorithm 1: datablocks carry exactly ≥ α requests),
     4 s view timeout, paper cost model, 4 cores. All overload controls
-    ([mempool_cap], [mempool_max_age], [pace_on_pressure]) default to
+    ([mempool_cap], [pace_on_pressure]) default to
     off, preserving the unbounded open-loop seed behaviour.
     Requires [n >= 4]. Raises [Invalid_argument] otherwise. *)
 

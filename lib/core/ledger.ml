@@ -45,3 +45,14 @@ let executed_range t ~from_ =
 let prune_below t sn =
   let victims = Hashtbl.fold (fun k _ acc -> if k <= sn then k :: acc else acc) t.blocks [] in
   List.iter (Hashtbl.remove t.blocks) victims
+
+let agree l1 l2 =
+  let upto = min l1.executed l2.executed in
+  let rec go sn =
+    sn > upto
+    ||
+    match (get l1 sn, get l2 sn) with
+    | Some a, Some b -> Bftblock.equal_content a b && go (sn + 1)
+    | _ -> go (sn + 1) (* pruned below a checkpoint: vacuously fine *)
+  in
+  go 1

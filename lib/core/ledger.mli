@@ -48,3 +48,8 @@ val blocks : t -> Bftblock.t list
 val prune_below : t -> int -> unit
 (** Forgets block bodies with serials <= the argument (post-checkpoint
     garbage collection); the execution pointer and counters survive. *)
+
+val agree : t -> t -> bool
+(** Position-wise agreement: at every serial both ledgers executed and
+    still hold, the blocks have equal content. Serials one ledger has
+    pruned below a checkpoint are skipped. *)

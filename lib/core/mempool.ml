@@ -12,11 +12,9 @@ type t = {
   queue : Request.t Queue.t;
   mutable pending : int; (* request count, including not-yet-skipped confirmed *)
   cap : int;             (* admission bound on [pending]; 0 = unbounded *)
-  max_age : Sim.Sim_time.span; (* eviction age for unconfirmed batches; 0 = off *)
 }
 
-let create ?(cap = 0) ?(max_age = 0L) () =
-  { queue = Queue.create (); pending = 0; cap; max_age }
+let create ?(cap = 0) () = { queue = Queue.create (); pending = 0; cap }
 
 let cap t = t.cap
 
@@ -47,29 +45,6 @@ let try_add t b =
   else begin
     add t b;
     Admitted
-  end
-
-let evict_expired t ~now =
-  if Int64.compare t.max_age 0L <= 0 then 0
-  else begin
-    (* The queue is FIFO by birth, so expired batches form a prefix
-       (up to interleaved confirmed batches, dropped for free). *)
-    let evicted = ref 0 in
-    let rec go () =
-      drop_confirmed_head t;
-      match Queue.peek_opt t.queue with
-      | Some b
-        when Sim.Sim_time.compare
-               Sim.Sim_time.(now - b.Request.born)
-               t.max_age >= 0 ->
-        ignore (Queue.pop t.queue);
-        t.pending <- t.pending - b.Request.count;
-        evicted := !evicted + b.Request.count;
-        go ()
-      | Some _ | None -> ()
-    in
-    go ();
-    !evicted
   end
 
 let take t ~target =

@@ -6,10 +6,9 @@
     [s > 1]) are skipped lazily.
 
     The pool can be bounded: with a capacity, {!try_add} renders an
-    explicit admission verdict instead of growing without limit, and
-    with a maximum age, {!evict_expired} sheds batches a stalled
-    consumer will never pack. Both default to off, in which case the
-    pool behaves exactly like the original unbounded queue. *)
+    explicit admission verdict instead of growing without limit. The
+    bound defaults to off, in which case the pool behaves exactly like
+    the original unbounded queue. *)
 
 type reject_reason =
   | Mempool_full  (** the admission bound would be exceeded *)
@@ -23,10 +22,9 @@ type admission = Admitted | Rejected of reject_reason
 
 type t
 
-val create : ?cap:int -> ?max_age:Sim.Sim_time.span -> unit -> t
+val create : ?cap:int -> unit -> t
 (** [cap] bounds the pending request count admitted through {!try_add}
-    (0, the default, disables the bound); [max_age] is the eviction age
-    used by {!evict_expired} (0 disables). *)
+    (0, the default, disables the bound). *)
 
 val cap : t -> int
 (** The admission bound this pool was created with (0 = unbounded). *)
@@ -39,11 +37,6 @@ val try_add : t -> Workload.Request.t -> admission
 (** Admission-checked enqueue: [Rejected Mempool_full] when a capacity
     is set and admitting the batch would push the pending count past
     it; otherwise enqueues and returns [Admitted]. *)
-
-val evict_expired : t -> now:Sim.Sim_time.t -> int
-(** Drops unconfirmed batches older than the pool's [max_age] (a FIFO
-    prefix) and returns the number of requests evicted. With no
-    [max_age] configured this is a no-op returning 0. *)
 
 val pending_requests : t -> int
 (** Requests currently poolable (confirmed batches may still be counted

@@ -60,7 +60,6 @@ type metrics = {
   equivocations : Obs.Counter.t;
   checkpoints : Obs.Counter.t;
   submit_rejected : Obs.Counter.t;
-  mempool_evicted : Obs.Counter.t;
 }
 
 (* A deferred proposal and the readiness cursor over its links, so the
@@ -123,7 +122,6 @@ type t = {
   punished : (Net.Node_id.t, unit) Hashtbl.t;  (* kicked-out equivocators *)
   (* overload accounting (plain ints: readable without a registry) *)
   mutable submits_rejected : int;   (* requests refused at admission *)
-  mutable mempool_evictions : int;  (* requests shed by age eviction *)
 }
 
 let bump t sel = match t.ms with Some m -> Obs.Counter.incr (sel m) | None -> ()
@@ -136,7 +134,6 @@ let ledger t = t.ledger
 let state_hash t = t.state_hash
 let mempool_pending t = Mempool.pending_requests t.mempool
 let submits_rejected t = t.submits_rejected
-let mempool_evictions t = t.mempool_evictions
 let pool t = t.pool
 let datablocks_created t = t.db_counter - 1
 let in_view_change t = t.in_view_change
@@ -1232,14 +1229,14 @@ let on_datablock t (db : Datablock.t) ~is_fetch_reply =
 
 let on_prepare_vote t ~view ~sn ~block_hash ~share =
   if view = t.view && is_leader t && not t.in_view_change then begin
-    let verify_cost = if t.cfg.verify_shares_eagerly then t.cfg.cost.tvrf_share else 0L in
-    with_cpu t verify_cost (fun () ->
+    (* A zero-cost hop: the vote still queues FIFO behind the replica's
+       CPU work, which orders it against the simulated events. *)
+    with_cpu t 0L (fun () ->
         if active t && not t.in_view_change && view = t.view then begin
           let inst = instance_of t sn in
           (* Only valid shares enter the quorum (the CPU cost of the
-             check is charged lazily at aggregation unless
-             [verify_shares_eagerly]); a Byzantine voter cannot poison
-             the aggregate. *)
+             check is charged at aggregation); a Byzantine voter cannot
+             poison the aggregate. *)
           if inst.iview = view then
             verify_via t
               (Verify.Share_check
@@ -1266,8 +1263,7 @@ let on_prepare_vote t ~view ~sn ~block_hash ~share =
 
 let on_commit_vote t ~view ~sn ~notar_digest ~share =
   if view = t.view && is_leader t && not t.in_view_change then begin
-    let verify_cost = if t.cfg.verify_shares_eagerly then t.cfg.cost.tvrf_share else 0L in
-    with_cpu t verify_cost (fun () ->
+    with_cpu t 0L (fun () ->
         if active t && not t.in_view_change && view = t.view then begin
           let inst = instance_of t sn in
           if inst.iview = view then
@@ -1451,13 +1447,6 @@ let submit t batch =
 
 let rec pack_tick t =
   if active t then begin
-    (if Int64.compare t.cfg.mempool_max_age 0L > 0 then
-       let evicted = Mempool.evict_expired t.mempool ~now:(now t) in
-       if evicted > 0 then begin
-         t.mempool_evictions <- t.mempool_evictions + evicted;
-         bump_by t (fun m -> m.mempool_evicted) evicted;
-         tracef t "mempool.evicted" "%d requests past max age" evicted
-       end);
     maybe_pack t;
     watchdog_check t;
     (* The leader's short-timer (partial proposals) also needs a periodic
@@ -1505,10 +1494,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
           checkpoints = c "leopard_replica_checkpoints_total" "checkpoint certs advanced lw";
           submit_rejected =
             c "leopard_replica_submit_rejected_total"
-              "client requests refused at mempool admission";
-          mempool_evicted =
-            c "leopard_replica_mempool_evicted_total"
-              "mempool requests shed by age eviction" })
+              "client requests refused at mempool admission" })
       obs
   in
   let t =
@@ -1523,8 +1509,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       strategy;
       hooks;
       trace;
-      mempool =
-        Mempool.create ~cap:cfg.Config.mempool_cap ~max_age:cfg.Config.mempool_max_age ();
+      mempool = Mempool.create ~cap:cfg.Config.mempool_cap ();
       pool = Datablock_pool.create ();
       instances = Hashtbl.create 64;
       ledger = Ledger.create ();
@@ -1554,8 +1539,7 @@ let create ~platform ~cfg ~id ~sk ~pks ~tsetup ~tkey ?obs ?(strategy = Byzantine
       last_partial_pack = Sim_time.zero;
       last_partial_propose = Sim_time.zero;
       punished = Hashtbl.create 4;
-      submits_rejected = 0;
-      mempool_evictions = 0 }
+      submits_rejected = 0 }
   in
   platform.Platform.set_handler (fun ~src msg -> handle t ~src msg);
   t

@@ -123,10 +123,6 @@ val submits_rejected : t -> int
 (** Requests refused at mempool admission since this replica was built
     (mirrored to [leopard_replica_submit_rejected_total]). *)
 
-val mempool_evictions : t -> int
-(** Requests shed by age-based mempool eviction (mirrored to
-    [leopard_replica_mempool_evicted_total]). *)
-
 val pool : t -> Datablock_pool.t
 val datablocks_created : t -> int
 val in_view_change : t -> bool

@@ -87,28 +87,16 @@ type t = {
   gen : Workload.Generator.t;
   trace : Trace.t;
   strategies : Byzantine.t array;
-  (* f+1 execution tracking. Both tables are keyed per serial and would
-     otherwise grow for the whole run; when a checkpoint certificate
-     advances the low watermark every serial at or below it is settled,
-     so [on_checkpoint] prunes them (see [prune_below]) and
-     [pruned_below] guards against a lagging replica's late execution of
-     a pruned serial being re-counted from scratch. Batch-level dedup
-     lives on the requests themselves ({!Workload.Request.mark_counted}),
-     which needs no table at all. *)
-  exec_counts : (int, int ref) Hashtbl.t;
+  (* f+1 confirmation accounting; [propose_times] is keyed per serial
+     and pruned with the tally's counts at each checkpoint. *)
+  tally : Workload.Tally.t;
   propose_times : (int, Sim_time.t) Hashtbl.t;
-  mutable pruned_below : int;
-  confirm_meter : Stats.Meter.t;
-  goodput_meter : Stats.Meter.t; (* payload bytes confirmed *)
-  latency : Stats.Histogram.t;
   (* Table-3 stage accumulators (request-weighted seconds), indexed by
      [stage_*] below. A float array keeps the per-confirmed-batch hot path
      free of the boxed-float stores and string-hashtable lookups a
      {!Stats.Breakdown} would cost; the report materializes the named
      list. *)
   stage_acc : float array;
-  mutable confirmed_requests : int;
-  mutable executed_blocks : int;
   mutable first_vc_trigger : Sim_time.t option;
   mutable last_view_entry : Sim_time.t option;
   mutable view_changes : int;
@@ -129,9 +117,6 @@ type t = {
   tsetup : Crypto.Threshold.setup;
   tkeys : Crypto.Threshold.member_key array;
   hooks : Replica.hooks;
-  (* confirm-latency instruments when [spec.obs] is attached; the sim's
-     own [latency] histogram stays authoritative for the report *)
-  obs_confirm : (Obs.Histogram.t * Obs.Counter.t) option;
 }
 
 let engine t = t.engine
@@ -146,8 +131,6 @@ let honest_ids t =
   |> List.filteri (fun i _ -> not (Byzantine.is_byzantine t.strategies.(i)))
   |> List.map Replica.id
 
-let f_plus_1 t = Config.max_faulty t.sp.cfg + 1
-
 let stage_generation = 0
 and stage_delivery = 1
 and stage_agreement = 2
@@ -157,29 +140,17 @@ let stage_names =
   [| "Datablock Generation"; "Datablock Delivery"; "Agreement"; "Response to Client" |]
 
 (* The (f+1)-th execution of a serial is the client-visible confirmation
-   instant (a valid client response needs f+1 identical acks, §4.1). *)
-let on_f1_execution t ~sn (block : Bftblock.t) dbs =
+   instant (a valid client response needs f+1 identical acks, §4.1); the
+   tally counts each batch once, and the stage breakdown follows it. *)
+let on_f1_execution t ~sn dbs =
   let now = Engine.now t.engine in
-  t.executed_blocks <- t.executed_blocks + 1;
   let agree_start = Hashtbl.find_opt t.propose_times sn in
   List.iter
     (fun (db : Datablock.t) ->
       List.iter
         (fun (b : Workload.Request.t) ->
-          if not (Workload.Request.is_counted b) then begin
-            Workload.Request.mark_counted b;
-            let count = b.Workload.Request.count in
-            t.confirmed_requests <- t.confirmed_requests + count;
-            Stats.Meter.add t.confirm_meter ~at:now count;
-            Stats.Meter.add t.goodput_meter ~at:now (Workload.Request.payload_bytes b);
-            Stats.Histogram.add t.latency Sim_time.(now - b.Workload.Request.born);
-            (match t.obs_confirm with
-             | Some (h, c) ->
-               Obs.Histogram.record h
-                 (Int64.to_int Sim_time.(now - b.Workload.Request.born));
-               Obs.Counter.add c count
-             | None -> ());
-            let w = float_of_int count in
+          if Workload.Tally.confirm t.tally ~at:now b then begin
+            let w = float_of_int b.Workload.Request.count in
             let acc = t.stage_acc in
             let gen_span = Sim_time.to_sec Sim_time.(db.Datablock.created_at - b.Workload.Request.born) in
             acc.(stage_generation) <- acc.(stage_generation) +. (w *. Float.max 0. gen_span);
@@ -196,21 +167,15 @@ let on_f1_execution t ~sn (block : Bftblock.t) dbs =
               acc.(stage_response) +. (w *. Sim_time.to_sec t.sp.link.Net.Network.prop_delay)
           end)
         db.Datablock.batches)
-    dbs;
-  ignore block
+    dbs
 
-(* Checkpoint garbage collection for the runner's own bookkeeping: once
-   the protocol's low watermark reaches [lw], no serial at or below it
-   can produce a fresh (f+1)-th execution, so the per-serial counters and
-   the ids of batches counted under those serials can go. Runs once per
+(* Checkpoint garbage collection: once the protocol's low watermark
+   reaches [lw], no serial at or below it can produce a fresh (f+1)-th
+   execution, so its counter and proposal time can go. Runs once per
    watermark value (n replicas report the same advance). *)
 let prune_below t lw =
-  if lw > t.pruned_below then begin
-    t.pruned_below <- lw;
-    let stale =
-      Hashtbl.fold (fun sn _ acc -> if sn <= lw then sn :: acc else acc) t.exec_counts []
-    in
-    List.iter (Hashtbl.remove t.exec_counts) stale;
+  if lw > Workload.Tally.pruned_below t.tally then begin
+    Workload.Tally.prune_below t.tally lw;
     let stale =
       Hashtbl.fold (fun sn _ acc -> if sn <= lw then sn :: acc else acc) t.propose_times []
     in
@@ -219,25 +184,10 @@ let prune_below t lw =
 
 let make_hooks t_ref =
   { Replica.on_execute =
-      (fun ~id:_ ~sn block dbs ->
+      (fun ~id:_ ~sn _block dbs ->
         match !t_ref with
         | None -> ()
-        | Some t ->
-          (* A replica catching up via state transfer can execute a
-             serial the checkpoint GC already settled; restarting its
-             counter from zero must not re-trigger the f+1 accounting. *)
-          if sn > t.pruned_below then begin
-            let c =
-              match Hashtbl.find_opt t.exec_counts sn with
-              | Some c -> c
-              | None ->
-                let c = ref 0 in
-                Hashtbl.add t.exec_counts sn c;
-                c
-            in
-            incr c;
-            if !c = f_plus_1 t then on_f1_execution t ~sn block dbs
-          end);
+        | Some t -> if Workload.Tally.executed t.tally ~sn then on_f1_execution t ~sn dbs);
     on_view_change =
       (fun ~id:_ ~view ->
         match !t_ref with
@@ -385,7 +335,7 @@ let create sp =
     let tick = if cfg.Config.n >= 128 then Sim_time.ms 100 else Sim_time.ms 20 in
     let inject ~dst ~size cb = Net.Network.inject network ~dst ~size ~category:"client-req" cb in
     (* Client fan-out s > 1 (§4.1): each batch also goes to s - 1 extra
-       mu-chosen replicas; the shared confirmation ref dedups counting. *)
+       mu-chosen replicas; the tally counts each batch id once. *)
     let fanned : (int, unit) Hashtbl.t = Hashtbl.create 64 in
     let submit ~target b =
       (* The sim client stays open-loop: verdicts are rendered but not
@@ -415,15 +365,9 @@ let create sp =
       gen;
       trace;
       strategies;
-      exec_counts = Hashtbl.create 1024;
+      tally = Workload.Tally.create ~f_plus_1:(Config.max_faulty cfg + 1) ?obs:sp.obs ();
       propose_times = Hashtbl.create 1024;
-      pruned_below = 0;
-      confirm_meter = Stats.Meter.create ();
-      goodput_meter = Stats.Meter.create ();
-      latency = Stats.Histogram.create ();
       stage_acc = Array.make (Array.length stage_names) 0.;
-      confirmed_requests = 0;
-      executed_blocks = 0;
       first_vc_trigger = None;
       last_view_entry = None;
       view_changes = 0;
@@ -433,15 +377,7 @@ let create sp =
       pks;
       tsetup;
       tkeys;
-      hooks;
-      obs_confirm =
-        Option.map
-          (fun reg ->
-            ( Obs.Registry.histogram reg ~help:"submit to f+1-confirm latency (ns)"
-                "leopard_confirm_latency_ns",
-              Obs.Registry.counter reg ~help:"client requests confirmed"
-                "leopard_confirmed_requests_total" ))
-          sp.obs }
+      hooks }
   in
   t_ref := Some t;
   (* Bandwidth accounting restarts when the warmup window closes. *)
@@ -482,23 +418,9 @@ let restart_replica t id =
   Replica.start r
 
 let check_safety t =
-  let honest = honest_ids t in
-  let ledgers = List.map (fun id -> Replica.ledger t.replicas.(id)) honest in
-  match ledgers with
+  match List.map (fun id -> Replica.ledger t.replicas.(id)) (honest_ids t) with
   | [] -> true
-  | first :: rest ->
-    let agree l1 l2 =
-      let upto = min (Ledger.executed_up_to l1) (Ledger.executed_up_to l2) in
-      let rec go sn =
-        if sn > upto then true
-        else
-          match (Ledger.get l1 sn, Ledger.get l2 sn) with
-          | Some a, Some b -> Bftblock.equal_content a b && go (sn + 1)
-          | _ -> go (sn + 1) (* pruned below a checkpoint: vacuously fine *)
-      in
-      go 1
-    in
-    List.for_all (agree first) rest
+  | first :: rest -> List.for_all (Ledger.agree first) rest
 
 let bandwidth_view t id =
   let acct = Net.Network.stats t.network id in
@@ -519,8 +441,8 @@ let report t =
       (honest_ids t)
   in
   let leader_view = bandwidth_view t leader in
-  let throughput = Stats.Meter.rate t.confirm_meter ~from_ ~until in
-  let goodput_bps = 8. *. Stats.Meter.rate t.goodput_meter ~from_ ~until in
+  let throughput = Workload.Tally.throughput t.tally ~from_ ~until in
+  let goodput_bps = Workload.Tally.goodput_bps t.tally ~from_ ~until in
   let vc_bytes =
     Array.to_list t.replicas
     |> List.map (fun r ->
@@ -547,10 +469,10 @@ let report t =
   in
   { n = cfg.Config.n;
     offered = Workload.Generator.offered t.gen;
-    confirmed = t.confirmed_requests;
+    confirmed = Workload.Tally.confirmed t.tally;
     throughput;
     goodput_bps;
-    latency = t.latency;
+    latency = Workload.Tally.latency t.tally;
     stage_seconds = Array.to_list (Array.mapi (fun i name -> (name, t.stage_acc.(i))) stage_names);
     leader = leader_view;
     non_leader = bandwidth_view t non_leader;
@@ -558,7 +480,7 @@ let report t =
       (if window_sec <= 0. then 0.
        else 8. *. float_of_int (leader_view.sent_bytes + leader_view.received_bytes) /. window_sec);
     window_sec;
-    executed_blocks = t.executed_blocks;
+    executed_blocks = Workload.Tally.serials t.tally;
     view_changes = t.view_changes;
     final_view;
     vc_trigger_to_entry;

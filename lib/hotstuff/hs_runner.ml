@@ -47,38 +47,14 @@ let run sp =
   let leader = 0 in
   (* Silent replicas picked from the back so the leader stays honest. *)
   let silent_set = List.init sp.silent (fun i -> n - 1 - i) in
-  let commit_counts : (int, int ref) Hashtbl.t = Hashtbl.create 1024 in
-  let counted : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
-  let confirm_meter = Stats.Meter.create () in
-  let goodput_meter = Stats.Meter.create () in
-  let latency = Stats.Histogram.create () in
-  let confirmed = ref 0 in
-  let committed_heights = ref 0 in
-  let fp1 = cfg.Hs_config.f + 1 in
+  let tally = Workload.Tally.create ~f_plus_1:(cfg.Hs_config.f + 1) () in
   let hooks =
     { Hs_replica.on_commit =
         (fun ~id:_ ~height block ->
-          let c =
-            match Hashtbl.find_opt commit_counts height with
-            | Some c -> c
-            | None ->
-              let c = ref 0 in
-              Hashtbl.add commit_counts height c;
-              c
-          in
-          incr c;
-          if !c = fp1 then begin
-            incr committed_heights;
+          if Workload.Tally.executed tally ~sn:height then begin
             let at = Engine.now engine in
             List.iter
-              (fun (b : Workload.Request.t) ->
-                if not (Hashtbl.mem counted b.Workload.Request.id) then begin
-                  Hashtbl.add counted b.Workload.Request.id ();
-                  confirmed := !confirmed + b.Workload.Request.count;
-                  Stats.Meter.add confirm_meter ~at b.Workload.Request.count;
-                  Stats.Meter.add goodput_meter ~at (Workload.Request.payload_bytes b);
-                  Stats.Histogram.add latency Sim_time.(at - b.Workload.Request.born)
-                end)
+              (fun b -> ignore (Workload.Tally.confirm tally ~at b : bool))
               block.Hs_types.batch
           end)
     }
@@ -138,14 +114,14 @@ let run sp =
   in
   { n;
     offered = Workload.Generator.offered gen;
-    confirmed = !confirmed;
-    throughput = Stats.Meter.rate confirm_meter ~from_:sp.warmup ~until:sp.duration;
-    goodput_bps = 8. *. Stats.Meter.rate goodput_meter ~from_:sp.warmup ~until:sp.duration;
-    latency;
+    confirmed = Workload.Tally.confirmed tally;
+    throughput = Workload.Tally.throughput tally ~from_:sp.warmup ~until:sp.duration;
+    goodput_bps = Workload.Tally.goodput_bps tally ~from_:sp.warmup ~until:sp.duration;
+    latency = Workload.Tally.latency tally;
     leader_sent_bytes = sent;
     leader_received_bytes = received;
     leader_bps =
       (if window_sec <= 0. then 0. else 8. *. float_of_int (sent + received) /. window_sec);
     window_sec;
-    committed_heights = !committed_heights;
+    committed_heights = Workload.Tally.serials tally;
     safety_ok }

@@ -378,41 +378,19 @@ let run (sp : spec) =
   let tsetup, tkeys = Ts.keygen key_rng ~threshold:(2 * cfg.f) ~parties:n in
   let leader = 0 in
   let silent_set = List.init sp.silent (fun i -> n - 1 - i) in
-  let commit_counts : (int, int ref) Hashtbl.t = Hashtbl.create 1024 in
-  let counted : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
+  let tally = Workload.Tally.create ~f_plus_1:(cfg.f + 1) () in
   let commit_hashes : (int, Hash.t) Hashtbl.t = Hashtbl.create 1024 in
-  let confirm_meter = Stats.Meter.create () in
-  let latency = Stats.Histogram.create () in
-  let confirmed = ref 0 in
-  let committed_heights = ref 0 in
   let safety_ok = ref true in
-  let fp1 = cfg.f + 1 in
   let on_commit ~id:_ ~height block dbs =
     (match Hashtbl.find_opt commit_hashes height with
      | Some h -> if not (Hash.equal h (block_hash block)) then safety_ok := false
      | None -> Hashtbl.add commit_hashes height (block_hash block));
-    let c =
-      match Hashtbl.find_opt commit_counts height with
-      | Some c -> c
-      | None ->
-        let c = ref 0 in
-        Hashtbl.add commit_counts height c;
-        c
-    in
-    incr c;
-    if !c = fp1 then begin
-      incr committed_heights;
+    if Workload.Tally.executed tally ~sn:height then begin
       let at = Engine.now engine in
       List.iter
         (fun (db : Core.Datablock.t) ->
           List.iter
-            (fun (b : Workload.Request.t) ->
-              if not (Hashtbl.mem counted b.Workload.Request.id) then begin
-                Hashtbl.add counted b.Workload.Request.id ();
-                confirmed := !confirmed + b.Workload.Request.count;
-                Stats.Meter.add confirm_meter ~at b.Workload.Request.count;
-                Stats.Histogram.add latency Sim_time.(at - b.Workload.Request.born)
-              end)
+            (fun b -> ignore (Workload.Tally.confirm tally ~at b : bool))
             db.Core.Datablock.batches)
         dbs
     end
@@ -472,9 +450,9 @@ let run (sp : spec) =
   in
   { n;
     offered = Workload.Generator.offered gen;
-    confirmed = !confirmed;
-    throughput = Stats.Meter.rate confirm_meter ~from_:sp.warmup ~until:sp.duration;
-    latency;
+    confirmed = Workload.Tally.confirmed tally;
+    throughput = Workload.Tally.throughput tally ~from_:sp.warmup ~until:sp.duration;
+    latency = Workload.Tally.latency tally;
     leader_bps = (if window_sec <= 0. then 0. else 8. *. float_of_int bytes /. window_sec);
-    committed_heights = !committed_heights;
+    committed_heights = Workload.Tally.serials tally;
     safety_ok = !safety_ok }

@@ -277,38 +277,16 @@ let run (sp : spec) =
   let pks = Array.map fst keys in
   let leader = 0 in
   let silent_set = List.init sp.silent (fun i -> n - 1 - i) in
-  let exec_counts : (int, int ref) Hashtbl.t = Hashtbl.create 1024 in
-  let counted : (int, unit) Hashtbl.t = Hashtbl.create 65536 in
-  let confirm_meter = Stats.Meter.create () in
-  let latency = Stats.Histogram.create () in
-  let confirmed = ref 0 in
-  let fp1 = cfg.f + 1 in
+  let tally = Workload.Tally.create ~f_plus_1:(cfg.f + 1) () in
   let executed_digests : (int, Hash.t) Hashtbl.t = Hashtbl.create 1024 in
   let safety_ok = ref true in
   let on_execute ~id:_ ~seq block =
     (match Hashtbl.find_opt executed_digests seq with
      | Some d -> if not (Hash.equal d (block_digest block)) then safety_ok := false
      | None -> Hashtbl.add executed_digests seq (block_digest block));
-    let c =
-      match Hashtbl.find_opt exec_counts seq with
-      | Some c -> c
-      | None ->
-        let c = ref 0 in
-        Hashtbl.add exec_counts seq c;
-        c
-    in
-    incr c;
-    if !c = fp1 then begin
+    if Workload.Tally.executed tally ~sn:seq then begin
       let at = Engine.now engine in
-      List.iter
-        (fun (b : Workload.Request.t) ->
-          if not (Hashtbl.mem counted b.Workload.Request.id) then begin
-            Hashtbl.add counted b.Workload.Request.id ();
-            confirmed := !confirmed + b.Workload.Request.count;
-            Stats.Meter.add confirm_meter ~at b.Workload.Request.count;
-            Stats.Histogram.add latency Sim_time.(at - b.Workload.Request.born)
-          end)
-        block.batch
+      List.iter (fun b -> ignore (Workload.Tally.confirm tally ~at b : bool)) block.batch
     end
   in
   let replicas =
@@ -360,8 +338,8 @@ let run (sp : spec) =
   in
   { n;
     offered = Workload.Generator.offered gen;
-    confirmed = !confirmed;
-    throughput = Stats.Meter.rate confirm_meter ~from_:sp.warmup ~until:sp.duration;
-    latency;
+    confirmed = Workload.Tally.confirmed tally;
+    throughput = Workload.Tally.throughput tally ~from_:sp.warmup ~until:sp.duration;
+    latency = Workload.Tally.latency tally;
     leader_bps = (if window_sec <= 0. then 0. else 8. *. float_of_int bytes /. window_sec);
     safety_ok = !safety_ok }

@@ -16,6 +16,8 @@
 
 type fsync_policy = Always | Interval of int | Never
 
+let fsync_policies = [ ("always", Always); ("interval", Interval 50_000_000); ("never", Never) ]
+
 type corruption = { segment : string; off : int; reason : string }
 
 let pp_corruption fmt c =

@@ -15,6 +15,10 @@ type fsync_policy =
           the previous one *)
   | Never        (** leave durability to the OS page cache *)
 
+val fsync_policies : (string * fsync_policy) list
+(** The policies by command-line name: [always], [interval] (at most
+    every 50 ms) and [never]. *)
+
 type corruption = { segment : string; off : int; reason : string }
 (** Where a recovery scan stopped: byte offset of the first bad frame in
     [segment], and which header check failed. *)

@@ -10,14 +10,7 @@ type t = {
   nodes : Runtime.node array;
   replicas : Core.Replica.t array;
   trace : Sim.Trace.t;
-  (* f+1 execution accounting, as in [Core.Runner]: per-serial counters,
-     and batch-id dedup (decoded message copies do not share the
-     [counted] ref with the client's original, so the dedup is by id). *)
-  exec_counts : (int, int ref) Hashtbl.t;
-  counted_batches : (int, unit) Hashtbl.t;
-  latency : Stats.Histogram.t;
-  mutable executed_blocks : int;
-  mutable confirmed : int;
+  tally : Workload.Tally.t; (* f+1 confirmation accounting *)
   (* open-loop client *)
   load : float;
   mutable load_active : bool;
@@ -63,10 +56,9 @@ type t = {
   strategies : Core.Byzantine.t array;
   hooks : Core.Replica.hooks;
   mutable closed : bool;
-  (* observability: registry shared by every layer of this cluster, the
-     confirm-latency instruments, and the periodic file dump *)
+  (* observability: registry shared by every layer of this cluster (the
+     tally's confirm instruments included), and the periodic file dump *)
   obs : Obs.Registry.t option;
-  obs_confirm : (Obs.Histogram.t * Obs.Counter.t) option;
   metrics_out : string option;
   metrics_interval_ns : int;
   mutable last_dump_ns : int;
@@ -77,7 +69,7 @@ let loop t = t.loop
 let replicas t = t.replicas
 let nodes t = t.nodes
 let offered t = t.offered
-let confirmed t = t.confirmed
+let confirmed t = Workload.Tally.confirmed t.tally
 let trace t = t.trace
 let view_changes t = t.view_changes
 let vc_triggers t = t.vc_triggers
@@ -86,27 +78,15 @@ let rejected t = t.rejected
 let throttled t = t.throttled
 let verify_stats t = Option.map Exec.Pool.stats t.verify_pool
 
-let f_plus_1 t = Core.Config.max_faulty t.cfg + 1
-
+(* A confirmed batch is no longer the client's to re-send. *)
 let on_f1_execution t (dbs : Core.Datablock.t list) =
-  let now = Loop.now t.loop in
-  t.executed_blocks <- t.executed_blocks + 1;
+  let at = Loop.now t.loop in
   List.iter
     (fun (db : Core.Datablock.t) ->
       List.iter
         (fun (b : Workload.Request.t) ->
-          let id = b.Workload.Request.id in
-          if not (Hashtbl.mem t.counted_batches id) then begin
-            Hashtbl.add t.counted_batches id ();
-            Hashtbl.remove t.pending id;
-            t.confirmed <- t.confirmed + b.Workload.Request.count;
-            Stats.Histogram.add t.latency Sim.Sim_time.(now - b.Workload.Request.born);
-            (match t.obs_confirm with
-            | Some (h, c) ->
-              Obs.Histogram.record h (Int64.to_int Sim.Sim_time.(now - b.Workload.Request.born));
-              Obs.Counter.add c b.Workload.Request.count
-            | None -> ())
-          end)
+          if Workload.Tally.confirm t.tally ~at b then
+            Hashtbl.remove t.pending b.Workload.Request.id)
         db.Core.Datablock.batches)
     dbs
 
@@ -115,17 +95,7 @@ let make_hooks t_ref =
       (fun ~id:_ ~sn _block dbs ->
         match !t_ref with
         | None -> ()
-        | Some t ->
-          let c =
-            match Hashtbl.find_opt t.exec_counts sn with
-            | Some c -> c
-            | None ->
-              let c = ref 0 in
-              Hashtbl.add t.exec_counts sn c;
-              c
-          in
-          incr c;
-          if !c = f_plus_1 t then on_f1_execution t dbs);
+        | Some t -> if Workload.Tally.executed t.tally ~sn then on_f1_execution t dbs);
     on_view_change =
       (fun ~id:_ ~view:_ ->
         match !t_ref with None -> () | Some t -> t.view_changes <- t.view_changes + 1);
@@ -133,7 +103,9 @@ let make_hooks t_ref =
       (fun ~id:_ ~abandoned:_ ->
         match !t_ref with None -> () | Some t -> t.vc_triggers <- t.vc_triggers + 1);
     on_propose = (fun ~id:_ ~sn:_ ~at:_ -> ());
-    on_checkpoint = (fun ~id:_ ~lw:_ -> ()) }
+    on_checkpoint =
+      (fun ~id:_ ~lw ->
+        match !t_ref with None -> () | Some t -> Workload.Tally.prune_below t.tally lw) }
 
 (* -- client ------------------------------------------------------------- *)
 
@@ -307,6 +279,28 @@ let fresh_data_dir () =
 
 let node_dir data_dir id = Filename.concat data_dir (Printf.sprintf "node-%d" id)
 
+(* select(2) takes fd numbers below FD_SETSIZE only, and every fd the
+   process holds takes a number. A node holds 2n: a connection each way
+   per peer, its listener and its WAL segment. [reserved_fds] covers
+   stdio, the verification pool's pipe and snapshot writes. *)
+let fd_setsize = 1024
+let reserved_fds = 32
+let fds_per_node ~n = 2 * n
+
+let max_replicas =
+  let fits n = (n * fds_per_node ~n) + reserved_fds <= fd_setsize in
+  let rec grow n = if fits (n + 1) then grow (n + 1) else n in
+  grow 1
+
+let check_size ~n =
+  if n <= max_replicas then Ok ()
+  else
+    Error
+      (Printf.sprintf
+         "n=%d needs %d fds, more than select's FD_SETSIZE (%d) allows: one process hosts at \
+          most %d replicas"
+         n (n * fds_per_node ~n) fd_setsize max_replicas)
+
 let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:false ())
     ?(byzantine = []) ?client_resend ?verify_domains ?data_dir
     ?(fsync = Store.Wal.Never) ?store_wrap ?obs ?metrics_out
@@ -319,6 +313,7 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
     | None, None -> None
   in
   let n = cfg.Core.Config.n in
+  Result.iter_error invalid_arg (check_size ~n);
   let loop = Loop.create () in
   (* An explicit data dir is the caller's (kept at teardown, e.g. as a
      failure artifact); an automatic one is a per-run temp dir removed by
@@ -405,11 +400,7 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
       nodes;
       replicas;
       trace;
-      exec_counts = Hashtbl.create 256;
-      counted_batches = Hashtbl.create 1024;
-      latency = Stats.Histogram.create ();
-      executed_blocks = 0;
-      confirmed = 0;
+      tally = Workload.Tally.create ~f_plus_1:(Core.Config.max_faulty cfg + 1) ?obs ();
       load;
       load_active = false;
       offered = 0;
@@ -441,14 +432,6 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
       hooks;
       closed = false;
       obs;
-      obs_confirm =
-        Option.map
-          (fun reg ->
-            ( Obs.Registry.histogram reg ~help:"submit to f+1-confirm latency (ns)"
-                "leopard_confirm_latency_ns",
-              Obs.Registry.counter reg ~help:"client requests confirmed"
-                "leopard_confirmed_requests_total" ))
-          obs;
       metrics_out;
       metrics_interval_ns;
       last_dump_ns = 0;
@@ -484,7 +467,7 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
         Obs.Counter.mirror resends_c t.resends;
         Obs.Counter.mirror rejected_c t.rejected;
         Obs.Counter.mirror throttled_c t.throttled;
-        Obs.Counter.mirror blocks_c t.executed_blocks;
+        Obs.Counter.mirror blocks_c (Workload.Tally.serials t.tally);
         let mv = ref 1 in
         Array.iteri
           (fun id node ->
@@ -611,24 +594,9 @@ let state_converged t =
       rest
 
 let ledgers_agree t =
-  match up_ids t with
+  match List.map (fun id -> Core.Replica.ledger t.replicas.(id)) (up_ids t) with
   | [] -> true
-  | first :: rest ->
-    let agree l1 l2 =
-      let upto =
-        min (Core.Ledger.executed_up_to l1) (Core.Ledger.executed_up_to l2)
-      in
-      let rec go sn =
-        if sn > upto then true
-        else
-          match (Core.Ledger.get l1 sn, Core.Ledger.get l2 sn) with
-          | Some a, Some b -> Core.Bftblock.equal_content a b && go (sn + 1)
-          | _ -> go (sn + 1) (* pruned below a checkpoint *)
-      in
-      go 1
-    in
-    let l1 = Core.Replica.ledger t.replicas.(first) in
-    List.for_all (fun id -> agree l1 (Core.Replica.ledger t.replicas.(id))) rest
+  | first :: rest -> List.for_all (Core.Ledger.agree first) rest
 
 let max_view t =
   List.fold_left
@@ -682,8 +650,7 @@ let close t =
     (* Reap the joined accounting state too, so a harness that builds
        clusters in a loop (the chaos corpus) cannot accrete per-run
        tables behind a still-reachable [t]. *)
-    Hashtbl.reset t.exec_counts;
-    Hashtbl.reset t.counted_batches;
+    Workload.Tally.close t.tally;
     Hashtbl.reset t.pending
   end
 
@@ -744,11 +711,11 @@ let report_of t =
   let wall_sec = float_of_int (max 1 window_ns) *. 1e-9 in
   { n = t.cfg.Core.Config.n;
     offered = t.offered;
-    confirmed = t.confirmed;
+    confirmed = confirmed t;
     rejected = t.rejected;
-    throughput = float_of_int t.confirmed /. wall_sec;
-    latency = t.latency;
-    executed_blocks = t.executed_blocks;
+    throughput = float_of_int (confirmed t) /. wall_sec;
+    latency = Workload.Tally.latency t.tally;
+    executed_blocks = Workload.Tally.serials t.tally;
     wall_sec;
     dropped_frames =
       Array.fold_left (fun acc node -> acc + Conn.dropped (Runtime.conn node)) 0 t.nodes;
@@ -788,7 +755,7 @@ let run ~cfg ?load ?(duration = Sim.Sim_time.s 5) ?(drain = Sim.Sim_time.s 10)
       let deadline = Loop.now_ns t.loop + Int64.to_int duration in
       run_while t (fun t ->
           Loop.now_ns t.loop < deadline
-          && match min_confirmed with Some m -> t.confirmed < m | None -> true);
+          && match min_confirmed with Some m -> confirmed t < m | None -> true);
       stop_load t;
       (* Drain: let in-flight serials finish and laggards catch up so the
          state hashes can be compared at a common execution frontier. *)

@@ -24,6 +24,16 @@
 
 type t
 
+val max_replicas : int
+(** The most replicas one process can host. The event loop waits in
+    [select(2)], which takes only fd numbers below [FD_SETSIZE] (1024),
+    and every node holds [2n] fds: a connection each way per peer, its
+    listener and its WAL segment. A few fds are kept back for stdio, the
+    verification pool's pipe and snapshot writes. *)
+
+val check_size : n:int -> (unit, string) result
+(** [Error] with a one-line reason when [n > max_replicas]. *)
+
 val create :
   cfg:Core.Config.t ->
   ?load:float ->
@@ -65,6 +75,9 @@ val create :
     [Never] — group-committed writes, durability left to the page
     cache). [store_wrap] decorates each node's sink (fault injection:
     [Core.Store.with_torn_tail]).
+
+    Raises [Invalid_argument] with the {!check_size} reason, before
+    binding any socket, when [cfg.n] exceeds {!max_replicas}.
 
     [obs] attaches a metrics registry to every layer: per-replica
     consensus counters, per-node transport mirrors, the shared verify

@@ -8,8 +8,9 @@
 
     The confirmation flag is a ref shared between a batch and its re-sent
     copies ({!resend_of}), so confirming any copy confirms the logical
-    requests — the client-side dedup that makes fan-out [s > 1] and
-    timeout re-sends (§4.3) count each request once. *)
+    requests. Measurement counts each batch once by its id ({!Tally}),
+    whichever copy (fan-out [s > 1], timeout re-send §4.3, decoded) a
+    confirmed serial carries. *)
 
 type t = {
   id : int;                 (** globally unique batch id *)
@@ -18,12 +19,6 @@ type t = {
   born : Sim.Sim_time.t;    (** client submission instant *)
   resend : bool;            (** re-sent after a timeout (view-change §4.3) *)
   confirmed : bool ref;     (** shared with re-sent copies *)
-  counted : bool ref;
-      (** measurement-side dedup, shared like [confirmed]: set when the
-          runner's (f+1)-execution accounting has counted the batch, so a
-          duplicate appearing in a later datablock (fan-out [s > 1],
-          re-sends) is never counted twice — with no per-batch table
-          growing for the length of the run *)
 }
 
 val make :
@@ -36,10 +31,6 @@ val resend_of : t -> t
 
 val is_confirmed : t -> bool
 val mark_confirmed : t -> unit
-
-val is_counted : t -> bool
-val mark_counted : t -> unit
-(** See [counted] above; owned by the measurement layer, not replicas. *)
 
 val payload_bytes : t -> int
 (** Total request payload carried by the batch. *)

@@ -29,6 +29,10 @@ run_step() {
     # "micro: FAIL ... (worst <id> <factor>x)"
     note=$(grep -E ': (PASS|FAIL) ' "$log" | tail -1 || true)
     ;;
+  loc)
+    # the code-size total: "loc: <n> lines in lib/"
+    note=$(grep -E '^loc: ' "$log" | tail -1 || true)
+    ;;
   esac
   STEPS+=("$name")
   STATUSES+=("$status")
@@ -48,6 +52,7 @@ else
   NOTES+=("")
 fi
 
+run_step loc scripts/loc.sh
 run_step build dune build
 run_step tier1-tests dune runtest
 run_step perfbench-selftest python3 perfbench/run.py --self-test

@@ -61,11 +61,28 @@ let test_batch_size_amortizes () =
   let small = run 10 and big = run 500 in
   checkb "bigger batch, higher throughput" true (big > small)
 
+(* Pins the baseline's simulated outcome across commits: n=7 with f
+   silent, rendered field by field for {!Pin.digest}. *)
+let render_report b (r : Hotstuff.Hs_runner.report) =
+  let line fmt = Pin.line b fmt in
+  line "n=%d offered=%d confirmed=%d" r.n r.offered r.confirmed;
+  line "throughput=%h goodput=%h leader_bps=%h window=%h" r.throughput r.goodput_bps
+    r.leader_bps r.window_sec;
+  Pin.latency b r.latency;
+  line "leader sent=%d received=%d" r.leader_sent_bytes r.leader_received_bytes;
+  line "committed_heights=%d safety=%b" r.committed_heights r.safety_ok
+
+let test_pinned_report_digest () =
+  let c = cfg ~n:7 () in
+  let r = Hotstuff.Hs_runner.run (spec ~silent:c.Hotstuff.Hs_config.f c) in
+  Alcotest.(check string) "n=7 f silent" "ed847f2b4c0c4583f545f7c89374a66f" (Pin.digest render_report r)
+
 let () =
   Alcotest.run "hotstuff"
     [ ( "hotstuff",
         [ Alcotest.test_case "types" `Quick test_types;
           Alcotest.test_case "commit progress" `Quick test_commit_progress;
           Alcotest.test_case "f silent live" `Quick test_silent_f_live;
+          Alcotest.test_case "pinned report digest" `Quick test_pinned_report_digest;
           Alcotest.test_case "leader bottleneck shape" `Slow test_leader_bottleneck_shape;
           Alcotest.test_case "batching amortizes" `Slow test_batch_size_amortizes ] ) ]

@@ -67,11 +67,25 @@ let test_deterministic () =
   Alcotest.(check int) "same confirmed" a.Hybrid.Chained_leopard.confirmed
     b.Hybrid.Chained_leopard.confirmed
 
+(* Pins the hybrid's simulated outcome across commits: n=7 with f
+   silent, rendered field by field for {!Pin.digest}. *)
+let render_report b (r : Hybrid.Chained_leopard.report) =
+  let line fmt = Pin.line b fmt in
+  line "n=%d offered=%d confirmed=%d" r.n r.offered r.confirmed;
+  line "throughput=%h leader_bps=%h" r.throughput r.leader_bps;
+  Pin.latency b r.latency;
+  line "committed_heights=%d safety=%b" r.committed_heights r.safety_ok
+
+let test_pinned_report_digest () =
+  let r = Hybrid.Chained_leopard.run (spec (cfg ~n:7 ())) in
+  Alcotest.(check string) "n=7 f silent" "65489e5b34632342f9cbe8e9bc6d70be" (Pin.digest render_report r)
+
 let () =
   Alcotest.run "hybrid"
     [ ( "chained leopard",
         [ Alcotest.test_case "progress & safety" `Quick test_progress_and_safety;
           Alcotest.test_case "f silent" `Quick test_silent_f;
           Alcotest.test_case "leader stays light" `Slow test_leader_stays_light;
-          Alcotest.test_case "deterministic" `Quick test_deterministic ]
+          Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "pinned report digest" `Quick test_pinned_report_digest ]
         @ List.map (QCheck_alcotest.to_alcotest ~long:false) [ prop_safety_random_seeds ] ) ]

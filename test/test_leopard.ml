@@ -563,13 +563,9 @@ let test_restart_resends_same_share () =
 
 (* -- Pinned reports ---------------------------------------------------------- *)
 
-(* The report rendered as text: every field, floats in exact hexadecimal
-   notation, the latency histogram as its count, extremes, mean and a
-   percentile ladder. Plain text (not [Marshal]) so the digest does not
-   depend on the compiler's value layout. *)
-let render_report (r : Core.Runner.report) =
-  let b = Buffer.create 4096 in
-  let line fmt = Printf.bprintf b (fmt ^^ "\n") in
+(* The report rendered for {!Pin.digest}: every field. *)
+let render_report b (r : Core.Runner.report) =
+  let line fmt = Pin.line b fmt in
   let view name (v : Core.Runner.bandwidth_view) =
     line "%s sent=%d received=%d" name v.sent_bytes v.received_bytes;
     List.iter (fun (c, n) -> line "%s sent %s=%d" name c n) v.sent_by_category;
@@ -578,12 +574,7 @@ let render_report (r : Core.Runner.report) =
   line "n=%d offered=%d confirmed=%d" r.n r.offered r.confirmed;
   line "throughput=%h goodput=%h leader_bps=%h window=%h" r.throughput r.goodput_bps
     r.leader_bps r.window_sec;
-  let h = r.latency in
-  line "latency count=%d mean=%h min=%h max=%h" (Stats.Histogram.count h)
-    (Stats.Histogram.mean h) (Stats.Histogram.min_value h) (Stats.Histogram.max_value h);
-  for pct = 0 to 100 do
-    line "latency p%d=%h" pct (Stats.Histogram.quantile h (float_of_int pct /. 100.))
-  done;
+  Pin.latency b r.latency;
   List.iter (fun (stage, secs) -> line "stage %s=%h" stage secs) r.stage_seconds;
   view "leader" r.leader;
   view "non_leader" r.non_leader;
@@ -593,8 +584,7 @@ let render_report (r : Core.Runner.report) =
    | Some s -> line "vc_trigger_to_entry=%h" s
    | None -> line "vc_trigger_to_entry=none");
   line "vc_bytes=%d equivocations=%d all_confirmed=%b safety=%b" r.vc_bytes
-    r.equivocations_detected r.all_confirmed r.safety_ok;
-  Buffer.contents b
+    r.equivocations_detected r.all_confirmed r.safety_ok
 
 (* The configuration and run of [leopard_cli run] with its defaults. *)
 let cli_spec ?(silent = false) ?stop_leader_at ?client_resend_timeout n =
@@ -613,7 +603,7 @@ let cli_spec ?(silent = false) ?stop_leader_at ?client_resend_timeout n =
 let test_pinned_report_digests () =
   List.iter
     (fun (name, spec, pinned) ->
-      let digest = Digest.to_hex (Digest.string (render_report (Core.Runner.run spec))) in
+      let digest = Pin.digest render_report (Core.Runner.run spec) in
       Alcotest.(check string) name pinned digest)
     [ ("n=16 honest", cli_spec 16, "846549b264ce33c78c321271ffc9e7a9");
       ("n=64 f silent", cli_spec ~silent:true 64, "edfdcd52552c323a05980b42fa898a83");

@@ -53,25 +53,6 @@ let test_mempool_unbounded_default () =
   done;
   checki "all pending" 4000 (Core.Mempool.pending_requests mp)
 
-let test_mempool_age_eviction () =
-  let mp = Core.Mempool.create ~max_age:(Sim_time.ms 100) () in
-  Core.Mempool.add mp (req ~id:1 ~count:3 ~born:Sim_time.zero ());
-  Core.Mempool.add mp (req ~id:2 ~count:5 ~born:(Sim_time.ms 50) ());
-  Core.Mempool.add mp (req ~id:3 ~count:7 ~born:(Sim_time.ms 200) ());
-  (* At t=220ms the first two batches (ages 220, 170) are past the
-     100 ms bound; the third (age 20) survives. FIFO prefix only. *)
-  checki "evicts the expired prefix, in requests" 8
-    (Core.Mempool.evict_expired mp ~now:(Sim_time.ms 220));
-  checki "young batch survives" 7 (Core.Mempool.pending_requests mp);
-  checki "second scan finds nothing" 0
-    (Core.Mempool.evict_expired mp ~now:(Sim_time.ms 220));
-  (* No max_age configured: eviction is a no-op whatever the clock says. *)
-  let unbounded = Core.Mempool.create ~cap:10 () in
-  Core.Mempool.add unbounded (req ~id:9 ~born:Sim_time.zero ());
-  checki "no max_age, no eviction" 0
-    (Core.Mempool.evict_expired unbounded ~now:(Sim_time.s 3600));
-  checki "batch untouched" 4 (Core.Mempool.pending_requests unbounded)
-
 (* -- replica admission verdicts ------------------------------------------ *)
 
 let capped_cfg ?(mempool_cap = 20) () =
@@ -341,8 +322,7 @@ let () =
     [ ( "mempool",
         [ Alcotest.test_case "admission bound" `Quick test_mempool_admission;
           Alcotest.test_case "unbounded by default" `Quick
-            test_mempool_unbounded_default;
-          Alcotest.test_case "age eviction" `Quick test_mempool_age_eviction ] );
+            test_mempool_unbounded_default ] );
       ( "replica",
         [ Alcotest.test_case "admission verdicts" `Quick test_replica_admission;
           Alcotest.test_case "leader handover under overload" `Quick

@@ -39,9 +39,24 @@ let test_quadratic_votes_show_in_traffic () =
   checkb "n=10 slower than n=4" true (r10.Pbft.throughput < r4.Pbft.throughput);
   checkb "n=10 still progresses" true (r10.Pbft.confirmed > 0)
 
+(* Pins the baseline's simulated outcome across commits: n=7 with f
+   silent, rendered field by field for {!Pin.digest}. *)
+let render_report b (r : Pbft.report) =
+  let line fmt = Pin.line b fmt in
+  line "n=%d offered=%d confirmed=%d" r.n r.offered r.confirmed;
+  line "throughput=%h leader_bps=%h" r.throughput r.leader_bps;
+  Pin.latency b r.latency;
+  line "safety=%b" r.safety_ok
+
+let test_pinned_report_digest () =
+  let c = cfg ~n:7 () in
+  let r = Pbft.run (spec ~silent:c.Pbft.f c) in
+  Alcotest.(check string) "n=7 f silent" "978a1eb770bc97c3524d600d80b7c17a" (Pin.digest render_report r)
+
 let () =
   Alcotest.run "pbft"
     [ ( "pbft",
         [ Alcotest.test_case "progress & safety" `Quick test_progress_and_safety;
           Alcotest.test_case "f silent" `Quick test_silent_f;
+          Alcotest.test_case "pinned report digest" `Quick test_pinned_report_digest;
           Alcotest.test_case "scale degradation" `Slow test_quadratic_votes_show_in_traffic ] ) ]

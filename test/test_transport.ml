@@ -407,6 +407,23 @@ let tcp_cfg () =
     ~view_timeout:(Sim.Sim_time.s 120) ~fetch_grace:(Sim.Sim_time.ms 200)
     ~cost:Crypto.Cost_model.free ()
 
+(* An n the event loop's select(2) cannot serve is refused up front,
+   typed and before any socket is bound, not mid-run with EINVAL. *)
+let test_tcp_cluster_rejects_oversized_n () =
+  let max = Transport.Cluster.max_replicas in
+  checkb "the paper's small clusters fit" true (max >= 16);
+  checkb "max fits" true (Transport.Cluster.check_size ~n:max = Ok ());
+  checkb "max + 1 does not" true (Result.is_error (Transport.Cluster.check_size ~n:(max + 1)));
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
+  let cfg = Core.Config.make ~n:(max + 1) () in
+  (match Transport.Cluster.create ~cfg () with
+   | _ -> Alcotest.fail "oversized cluster created"
+   | exception Invalid_argument msg ->
+     checkb "reason names the limit" true
+       (msg = Result.get_error (Transport.Cluster.check_size ~n:(max + 1))));
+  checki "no fd opened" before (fds ())
+
 let test_tcp_cluster_commits_and_converges () =
   let r =
     Transport.Cluster.run ~cfg:(tcp_cfg ()) ~load:2000. ~duration:(Sim.Sim_time.s 25)
@@ -551,7 +568,9 @@ let () =
           Alcotest.test_case "multicast: delivery & recv counters" `Quick
             test_multicast_delivery_and_stats ] );
       ( "tcp cluster",
-        [ Alcotest.test_case "commits & state-hash agreement" `Quick
+        [ Alcotest.test_case "rejects an n select cannot serve" `Quick
+            test_tcp_cluster_rejects_oversized_n;
+          Alcotest.test_case "commits & state-hash agreement" `Quick
             test_tcp_cluster_commits_and_converges;
           Alcotest.test_case "metrics cover all four layers" `Quick
             test_tcp_cluster_metrics_all_layers;

@@ -115,6 +115,75 @@ let test_generator_make_batch () =
   checki "offered counted" 5 (Workload.Generator.offered gen);
   checki "next id advanced" (id0 + 1) (Workload.Generator.next_batch_id gen)
 
+(* -- Tally ------------------------------------------------------------- *)
+
+let test_tally_fires_once_at_f_plus_1 () =
+  let t = Workload.Tally.create ~f_plus_1:3 () in
+  let reports = List.init 6 (fun _ -> Workload.Tally.executed t ~sn:1) in
+  Alcotest.(check (list bool)) "fires at the third report only"
+    [ false; false; true; false; false; false ] reports;
+  checki "one serial" 1 (Workload.Tally.serials t);
+  checkb "another serial counts apart" false (Workload.Tally.executed t ~sn:2);
+  checki "still one serial" 1 (Workload.Tally.serials t)
+
+let test_tally_prune_below () =
+  let t = Workload.Tally.create ~f_plus_1:2 () in
+  ignore (Workload.Tally.executed t ~sn:4 : bool);
+  ignore (Workload.Tally.executed t ~sn:6 : bool);
+  Workload.Tally.prune_below t 5;
+  checki "watermark" 5 (Workload.Tally.pruned_below t);
+  (* A late report at or below the watermark never restarts a count. *)
+  List.iter
+    (fun sn ->
+      checkb "pruned serial ignored" false (Workload.Tally.executed t ~sn);
+      checkb "pruned serial ignored again" false (Workload.Tally.executed t ~sn))
+    [ 1; 4; 5 ];
+  checki "nothing fired below the watermark" 0 (Workload.Tally.serials t);
+  (* A lower watermark is a no-op; serials above keep their counts. *)
+  Workload.Tally.prune_below t 3;
+  checki "watermark kept" 5 (Workload.Tally.pruned_below t);
+  checkb "count above the watermark survives" true (Workload.Tally.executed t ~sn:6)
+
+let test_tally_counts_each_batch_once () =
+  let t = Workload.Tally.create ~f_plus_1:1 () in
+  let b = Workload.Request.make ~id:7 ~count:10 ~size_each:4 ~born:(Sim_time.ms 1) () in
+  let copy = Workload.Request.resend_of b in
+  let decoded = Option.get (Core.Codec.decode_batch (Core.Codec.encode_batch b)) in
+  checkb "decoded copy has fresh refs" false (decoded.Workload.Request.confirmed == b.confirmed);
+  let at = Sim_time.ms 5 in
+  checkb "first copy counts" true (Workload.Tally.confirm t ~at b);
+  checkb "resend copy does not" false (Workload.Tally.confirm t ~at copy);
+  checkb "decoded copy does not" false (Workload.Tally.confirm t ~at decoded);
+  checkb "original again does not" false (Workload.Tally.confirm t ~at b);
+  checki "requests counted once" 10 (Workload.Tally.confirmed t);
+  checki "one latency sample" 1 (Stats.Histogram.count (Workload.Tally.latency t))
+
+let test_tally_confirmed_matches_histogram () =
+  let t = Workload.Tally.create ~f_plus_1:1 () in
+  let reg = Obs.Registry.create () in
+  let o = Workload.Tally.create ~f_plus_1:1 ~obs:reg () in
+  let batches = List.init 50 (fun i -> (i mod 20, 1 + (i mod 3))) in
+  List.iter
+    (fun (id, count) ->
+      let b = Workload.Request.make ~id ~count ~size_each:8 ~born:Sim_time.zero () in
+      let at = Sim_time.ms (id + 1) in
+      ignore (Workload.Tally.confirm t ~at b : bool);
+      ignore (Workload.Tally.confirm o ~at b : bool))
+    batches;
+  let requests = List.fold_left (fun acc i -> acc + 1 + (i mod 3)) 0 (List.init 20 Fun.id) in
+  checki "confirmed requests" requests (Workload.Tally.confirmed t);
+  checki "one sample per batch" 20 (Stats.Histogram.count (Workload.Tally.latency t));
+  checki "instrumented tally agrees" requests (Workload.Tally.confirmed o);
+  let prom = Obs.Registry.expose reg in
+  let has sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length prom && (String.sub prom i n = sub || at (i + 1)) in
+    at 0
+  in
+  checkb "latency instrument" true (has "leopard_confirm_latency_ns_count 20");
+  checkb "confirmed instrument" true
+    (has (Printf.sprintf "leopard_confirmed_requests_total %d" requests))
+
 let () =
   Alcotest.run "workload"
     [ ( "request",
@@ -130,4 +199,10 @@ let () =
         [ Alcotest.test_case "rate and targets" `Quick test_generator_rate_and_targets;
           Alcotest.test_case "stop" `Quick test_generator_stop;
           Alcotest.test_case "batches recorded" `Quick test_generator_batches_recorded;
-          Alcotest.test_case "make_batch" `Quick test_generator_make_batch ] ) ]
+          Alcotest.test_case "make_batch" `Quick test_generator_make_batch ] );
+      ( "tally",
+        [ Alcotest.test_case "fires once at f+1" `Quick test_tally_fires_once_at_f_plus_1;
+          Alcotest.test_case "prune below watermark" `Quick test_tally_prune_below;
+          Alcotest.test_case "each batch once" `Quick test_tally_counts_each_batch_once;
+          Alcotest.test_case "confirmed matches histogram" `Quick
+            test_tally_confirmed_matches_histogram ] ) ]
