@@ -2,10 +2,10 @@
 
    Each entry measures one primitive under the simulator's hot paths —
    SHA-256 (the digest under every hash link, vote payload and Merkle
-   node), the wire codec, Merkle roots, threshold shares and the event
-   loop — via bechamel's OLS estimator, against both the monotonic clock
-   and the minor allocator, so a change that trades time for garbage is
-   visible.
+   node), the wire codec, Merkle roots, threshold shares, the simulator's
+   event engine and one transport loop round — via bechamel's OLS
+   estimator, against both the monotonic clock and the minor allocator,
+   so a change that trades time for garbage is visible.
 
      dune exec bench/main.exe -- --only micro
      dune exec bench/main.exe -- --only micro --fast
@@ -66,6 +66,47 @@ let bench_one ~fast ?(bytes_per_op = 0) name f =
 (* ------------------------------------------------------------------ *)
 
 let sha_chunk = 64
+
+(* One [Transport.Loop] round with 500 watched idle loopback sockets and
+   one readable pipe: a round must cost O(ready fds), not O(watched fds),
+   so a wait that rescans the whole watch set shows as a regression. *)
+let loop_round ~fast =
+  let loop = Transport.Loop.create () in
+  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lfd 16;
+  let addr = Unix.getsockname lfd in
+  let socks =
+    List.concat
+      (List.init 250 (fun _ ->
+           let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+           Unix.connect c addr;
+           let a, _ = Unix.accept lfd in
+           [ c; a ]))
+  in
+  let r, w = Unix.pipe () in
+  ignore (Unix.write_substring w "x" 0 1 : int);
+  let watched = r :: socks in
+  List.iter (fun fd -> Transport.Loop.watch_read loop fd (fun () -> ())) watched;
+  let once = ref false in
+  let one_round () =
+    let go = !once in
+    once := false;
+    go
+  in
+  let res =
+    bench_one ~fast "transport/loop-round-500fds" (fun () ->
+        once := true;
+        Transport.Loop.run_while loop one_round)
+  in
+  List.iter
+    (fun fd ->
+      Transport.Loop.unwatch loop fd;
+      Unix.close fd)
+    watched;
+  List.iter Unix.close [ w; lfd ];
+  Transport.Loop.close loop;
+  res
 
 let run_all ~fast =
   let bench name ?bytes_per_op f = bench_one ~fast ?bytes_per_op name f in
@@ -141,7 +182,8 @@ let run_all ~fast =
     bench "obs/hist-record"
       (let reg = Obs.Registry.create () in
        let h = Obs.Registry.histogram reg "bench_lat_ns" in
-       fun () -> Obs.Histogram.record h 48_213) ]
+       fun () -> Obs.Histogram.record h 48_213);
+    loop_round ~fast ]
 
 (* ------------------------------------------------------------------ *)
 (* JSON baseline                                                       *)

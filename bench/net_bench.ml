@@ -18,9 +18,10 @@
        encode (amortized over n-1 peers) and the decoded message.
 
    A star, not a full mesh: n=64 needs 63 connections (~130 fds), while a
-   mesh would need ~8000 — past FD_SETSIZE for the select(2) loop. The
-   full protocol over a (small) mesh is exercised by the cluster tests
-   and the CLI's local-cluster; this bench pins the data-plane costs.
+   mesh would need ~8000 — past the common 1024 open-file limit of one
+   process. The full protocol over a (small) mesh is exercised by the
+   cluster tests and the CLI's local-cluster; this bench pins the
+   data-plane costs.
 
      dune exec bench/main.exe -- --only net
      dune exec bench/main.exe -- --only net --check-regressions
@@ -136,6 +137,7 @@ let run_one ~fast n =
   in
   Transport.Conn.close sender;
   Array.iter Transport.Conn.close receivers;
+  Transport.Loop.close loop;
   assert (sent = frames);
   let per x = if frames = 0 then 0. else float_of_int x /. float_of_int frames in
   { n;
@@ -230,6 +232,7 @@ let run_overload ~fast n =
   let offered = !bulk_offered in
   Transport.Conn.close sender;
   Array.iter Transport.Conn.close receivers;
+  Transport.Loop.close loop;
   { o_n = n;
     o_wall_s = wall_s;
     consensus_frames;

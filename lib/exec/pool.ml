@@ -1,6 +1,6 @@
 (* Bounded domain worker pool. One shared FIFO work queue under a
    mutex/condvar; completions cross back to the owner through a second
-   queue plus a self-pipe so a select-based event loop wakes as soon as
+   queue plus a self-pipe so a polling event loop wakes as soon as
    results are ready. See pool.mli for the contract. *)
 
 type task = unit -> unit

@@ -279,16 +279,19 @@ let fresh_data_dir () =
 
 let node_dir data_dir id = Filename.concat data_dir (Printf.sprintf "node-%d" id)
 
-(* select(2) takes fd numbers below FD_SETSIZE only, and every fd the
-   process holds takes a number. A node holds 2n: a connection each way
-   per peer, its listener and its WAL segment. [reserved_fds] covers
-   stdio, the verification pool's pipe and snapshot writes. *)
-let fd_setsize = 1024
+(* Every fd the process holds counts against its open-file limit. A
+   node holds 2n: a connection each way per peer, its listener and its
+   WAL segment. [reserved_fds] covers stdio, the loop's epoll fd, the
+   verification pool's pipe and snapshot writes. *)
+external nofile_limit : unit -> int = "leopard_nofile_limit"
+
 let reserved_fds = 32
 let fds_per_node ~n = 2 * n
 
+let open_file_limit = nofile_limit ()
+
 let max_replicas =
-  let fits n = (n * fds_per_node ~n) + reserved_fds <= fd_setsize in
+  let fits n = (n * fds_per_node ~n) + reserved_fds <= open_file_limit in
   let rec grow n = if fits (n + 1) then grow (n + 1) else n in
   grow 1
 
@@ -297,9 +300,9 @@ let check_size ~n =
   else
     Error
       (Printf.sprintf
-         "n=%d needs %d fds, more than select's FD_SETSIZE (%d) allows: one process hosts at \
+         "n=%d needs %d fds, more than the open-file limit (%d) allows: one process hosts at \
           most %d replicas"
-         n (n * fds_per_node ~n) fd_setsize max_replicas)
+         n (n * fds_per_node ~n) open_file_limit max_replicas)
 
 let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:false ())
     ?(byzantine = []) ?client_resend ?verify_domains ?data_dir
@@ -345,7 +348,7 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
      plane — real parallel crypto), sized to leave one core for the
      event loop. [Some 0] disables it (bench baseline); on a small host
      the default degenerates to one worker, still keeping crypto off the
-     select thread. One pool for the in-process cluster: workers only
+     loop thread. One pool for the in-process cluster: workers only
      run pure crypto, so sharing is safe and bounds the domain count. *)
   let verify_pool =
     match verify_domains with
@@ -500,8 +503,8 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
      (* Completions are delivered on the loop thread: every dispatch
         round starts with a drain ([on_tick] registered after the Conn
         flush ticks runs before them — newest first), and the pool's
-        notify pipe wakes select the moment a result lands, so verified
-        messages never wait out the select timeout. *)
+        notify pipe wakes the loop's wait the moment a result lands, so
+        verified messages never wait out its timeout. *)
      let drain () = ignore (Exec.Pool.drain p : int) in
      t.verify_tick <- Some (Loop.on_tick loop drain);
      Loop.watch_read loop (Exec.Pool.notify_fd p) drain);
@@ -622,7 +625,7 @@ let close t =
     | None -> ());
     Loop.stop t.loop;
     (* Unhook the pool from the loop before shutdown closes its pipe fds
-       (a closed fd in the select read set would fail the loop), then
+       (the loop's rule: unwatch before close), then
        join the worker domains. Un-drained continuations are dropped —
        the replicas they would touch are being torn down anyway. *)
     (match t.verify_pool with
@@ -643,6 +646,7 @@ let close t =
        t.store_tick <- None
      | None -> ());
     Array.iter (fun node -> Conn.close (Runtime.conn node)) t.nodes;
+    Loop.close t.loop;
     Array.iter (fun c -> Store.Store_file.close !c) t.stores;
     (* Auto (temp) data dirs leave nothing behind; explicit ones are the
        caller's artifacts. *)

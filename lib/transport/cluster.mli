@@ -25,11 +25,13 @@
 type t
 
 val max_replicas : int
-(** The most replicas one process can host. The event loop waits in
-    [select(2)], which takes only fd numbers below [FD_SETSIZE] (1024),
-    and every node holds [2n] fds: a connection each way per peer, its
-    listener and its WAL segment. A few fds are kept back for stdio, the
-    verification pool's pipe and snapshot writes. *)
+(** The most replicas one process can host, read from the soft
+    [RLIMIT_NOFILE] at startup. Every node holds [2n] fds (a connection
+    each way per peer, its listener and its WAL segment), and all of
+    them count against the process's open-file limit; a few more are
+    kept back for stdio, the loop's epoll fd, the verification pool's
+    pipe and snapshot writes. At the common default of 1024 the cap is
+    22; raise it with [ulimit -n]. *)
 
 val check_size : n:int -> (unit, string) result
 (** [Error] with a one-line reason when [n > max_replicas]. *)
@@ -171,6 +173,9 @@ val ledgers_agree : t -> bool
     safety check, over however far each has executed). *)
 
 val close : t -> unit
+(** Stops the load, closes every connection, store and the loop itself
+    ({!Loop.close}), and removes an automatic data directory.
+    Idempotent. *)
 
 (** {2 One-shot runs} *)
 

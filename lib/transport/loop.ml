@@ -1,6 +1,23 @@
 type handle = int
 type tick_handle = int
 
+(* Level-triggered epoll (epoll_stubs.c). Interest is a bit set:
+   [want_read] lor [want_write]; the wait reports readiness the same way. *)
+external epoll_create : unit -> Unix.file_descr = "leopard_epoll_create"
+
+external epoll_ctl : Unix.file_descr -> Unix.file_descr -> int -> int -> unit
+  = "leopard_epoll_ctl"
+
+external epoll_wait :
+  Unix.file_descr -> int -> Unix.file_descr array -> int array -> int
+  = "leopard_epoll_wait"
+
+let want_read = 1
+let want_write = 2
+
+(* Ready fds copied out per wait (the stub's own cap). *)
+let max_events = 512
+
 type t = {
   t0 : float;                              (* wall time at [create] *)
   mutable clock_ns : int;                  (* monotone-clamped ns since t0 *)
@@ -9,17 +26,16 @@ type t = {
   cancelled : (int, unit) Hashtbl.t;
   readers : (Unix.file_descr, unit -> unit) Hashtbl.t;
   writers : (Unix.file_descr, unit -> unit) Hashtbl.t;
-  (* Cached fd lists for select(2), rebuilt only when the watch sets
-     change: watch/unwatch churn is rare next to rounds, and folding the
-     tables every round allocated a fresh list pair per iteration. *)
-  mutable rd_cache : Unix.file_descr list;
-  mutable wr_cache : Unix.file_descr list;
-  mutable rd_dirty : bool;
-  mutable wr_dirty : bool;
+  (* The kernel keeps the watched set, updated only when an fd's
+     interest changes, so a round costs O(ready fds). *)
+  epfd : Unix.file_descr;
+  mutable closed : bool;
+  ready_fds : Unix.file_descr array;
+  ready_evs : int array;
   (* End-of-phase hooks (see [on_tick]): run after timers fire and after
-     fd dispatch, always before the loop can block in select(2). Keyed
-     so an owner tearing itself down can deregister ([remove_tick]) and
-     stop being kept alive by the loop. *)
+     fd dispatch, always before the loop can block. Keyed so an owner
+     tearing itself down can deregister ([remove_tick]) and stop being
+     kept alive by the loop. *)
   mutable ticks : (tick_handle * (unit -> unit)) list;
   mutable next_tick : tick_handle;
   mutable stopped : bool;
@@ -28,7 +44,7 @@ type t = {
 let create () =
   (* A peer closing mid-write must surface as EPIPE on the write (handled
      per-connection), not as a process-killing signal. *)
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   {
     t0 = Unix.gettimeofday ();
     clock_ns = 0;
@@ -37,14 +53,20 @@ let create () =
     cancelled = Hashtbl.create 16;
     readers = Hashtbl.create 16;
     writers = Hashtbl.create 16;
-    rd_cache = [];
-    wr_cache = [];
-    rd_dirty = false;
-    wr_dirty = false;
+    epfd = epoll_create ();
+    closed = false;
+    ready_fds = Array.make max_events Unix.stdin;
+    ready_evs = Array.make max_events 0;
     ticks = [];
     next_tick = 0;
     stopped = false;
   }
+
+let close t =
+  if not t.closed then begin
+    t.closed <- true;
+    Unix.close t.epfd
+  end
 
 let refresh_clock t =
   let raw = int_of_float ((Unix.gettimeofday () -. t.t0) *. 1e9) in
@@ -91,8 +113,10 @@ let fire_due t =
     else continue := false
   done
 
-(* Seconds until the next live timer, within [0, cap]; [cap] when idle. *)
-let select_timeout t ~cap =
+(* Nanoseconds until the next live timer, within [0, cap]; [cap] when
+   idle. Measured from a fresh clock: work since the last refresh (tick
+   hooks, callbacks) must not be waited out again. *)
+let wait_ns t ~cap =
   (* Skip cancelled heads so a pile of cancellations can't force a busy
      poll at their stale deadlines. *)
   let continue = ref true in
@@ -107,48 +131,41 @@ let select_timeout t ~cap =
   done;
   if Sim.Heap.is_empty t.timers then cap
   else
-    let gap_ns = Sim.Heap.peek_key_ns t.timers - t.clock_ns in
-    if gap_ns <= 0 then 0.
-    else Float.min cap (float_of_int gap_ns *. 1e-9)
+    let gap_ns = Sim.Heap.peek_key_ns t.timers - refresh_clock t in
+    if gap_ns <= 0 then 0 else min cap gap_ns
 
 (* -- file descriptors --------------------------------------------------- *)
 
+let interest t fd =
+  (if Hashtbl.mem t.readers fd then want_read else 0)
+  lor if Hashtbl.mem t.writers fd then want_write else 0
+
+(* Tell the kernel only when [fd]'s interest changed. A closed loop has
+   no epoll fd left (its number may already belong to another file). *)
+let sync t fd ~before =
+  let after = interest t fd in
+  if after <> before && not t.closed then epoll_ctl t.epfd fd before after
+
 let watch_read t fd f =
-  if not (Hashtbl.mem t.readers fd) then t.rd_dirty <- true;
-  Hashtbl.replace t.readers fd f
+  let before = interest t fd in
+  Hashtbl.replace t.readers fd f;
+  sync t fd ~before
 
 let watch_write t fd f =
-  if not (Hashtbl.mem t.writers fd) then t.wr_dirty <- true;
-  Hashtbl.replace t.writers fd f
+  let before = interest t fd in
+  Hashtbl.replace t.writers fd f;
+  sync t fd ~before
 
 let unwatch_write t fd =
-  if Hashtbl.mem t.writers fd then begin
-    Hashtbl.remove t.writers fd;
-    t.wr_dirty <- true
-  end
+  let before = interest t fd in
+  Hashtbl.remove t.writers fd;
+  sync t fd ~before
 
 let unwatch t fd =
-  if Hashtbl.mem t.readers fd then begin
-    Hashtbl.remove t.readers fd;
-    t.rd_dirty <- true
-  end;
-  unwatch_write t fd
-
-let keys tbl = Hashtbl.fold (fun fd _ acc -> fd :: acc) tbl []
-
-let read_fds t =
-  if t.rd_dirty then begin
-    t.rd_cache <- keys t.readers;
-    t.rd_dirty <- false
-  end;
-  t.rd_cache
-
-let write_fds t =
-  if t.wr_dirty then begin
-    t.wr_cache <- keys t.writers;
-    t.wr_dirty <- false
-  end;
-  t.wr_cache
+  let before = interest t fd in
+  Hashtbl.remove t.readers fd;
+  Hashtbl.remove t.writers fd;
+  sync t fd ~before
 
 let on_tick t f =
   let h = t.next_tick in
@@ -160,38 +177,32 @@ let remove_tick t h = t.ticks <- List.filter (fun (h', _) -> h' <> h) t.ticks
 
 (* -- driving ------------------------------------------------------------ *)
 
-let max_block = 0.05
+let max_block_ns = 50_000_000
 
 let run_ticks t = List.iter (fun (_, f) -> f ()) t.ticks
+
+(* A callback may unwatch (and close) fds that were also ready this
+   round; dispatch only to fds still watched at call time. *)
+let dispatch t tbl ~want k =
+  for i = 0 to k - 1 do
+    if t.ready_evs.(i) land want <> 0 then
+      match Hashtbl.find_opt tbl t.ready_fds.(i) with
+      | Some f -> f ()
+      | None -> ()
+  done
 
 let round t =
   fire_due t;
   run_ticks t;
-  let timeout = select_timeout t ~cap:max_block in
-  let rds = read_fds t and wrs = write_fds t in
-  let ready_r, ready_w =
-    match Unix.select rds wrs [] timeout with
-    | r, w, _ -> (r, w)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-  in
-  (* A callback may unwatch (and close) fds that were also ready this
-     round; dispatch only to fds still watched at call time. *)
-  List.iter
-    (fun fd ->
-      match Hashtbl.find_opt t.readers fd with
-      | Some f -> f ()
-      | None -> ())
-    ready_r;
-  List.iter
-    (fun fd ->
-      match Hashtbl.find_opt t.writers fd with
-      | Some f -> f ()
-      | None -> ())
-    ready_w;
+  let timeout_ns = wait_ns t ~cap:max_block_ns in
+  let k = epoll_wait t.epfd timeout_ns t.ready_fds t.ready_evs in
+  dispatch t t.readers ~want:want_read k;
+  dispatch t t.writers ~want:want_write k;
   fire_due t;
   run_ticks t
 
 let run_while t pred =
+  if t.closed then invalid_arg "Loop.run_while: closed loop";
   t.stopped <- false;
   while (not t.stopped) && pred () do
     round t

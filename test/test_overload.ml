@@ -166,7 +166,10 @@ let test_conn_kind_aware_drops () =
     Transport.Conn.create ~loop ~id:0 ~outbuf_hwm:hwm
       ~on_msg:(fun ~src:_ _ -> ()) ()
   in
-  Fun.protect ~finally:(fun () -> Transport.Conn.close conn)
+  Fun.protect
+    ~finally:(fun () ->
+      Transport.Conn.close conn;
+      Transport.Loop.close loop)
     (fun () ->
       Transport.Conn.set_peer_addr conn 1 (closed_loopback_port ());
       let dropped_bp () = Transport.Conn.dropped_backpressure conn in

@@ -1,5 +1,5 @@
-(* Transport stack tests: the frame layer bit-for-bit, the select loop's
-   timer semantics, and n = 4 clusters over real loopback TCP — including
+(* Transport stack tests: the frame layer bit-for-bit, the event loop's
+   timer and fd semantics, and n = 4 clusters over real loopback TCP — including
    the acceptance scenarios: >= 1000 requests confirmed with identical
    state hashes, and a fail-stopped non-leader that the cluster survives
    and that reconnects after revival. *)
@@ -122,7 +122,8 @@ let test_loop_timer_fifo () =
       : Transport.Loop.handle);
   Transport.Loop.run_for loop ~span:(Sim.Sim_time.ms 20);
   checkb "same-instant timers fire in schedule order, later timers after" true
-    (List.rev !order = [ 1; 2; 3; 4 ])
+    (List.rev !order = [ 1; 2; 3; 4 ]);
+  Transport.Loop.close loop
 
 let test_loop_cancel () =
   let loop = Transport.Loop.create () in
@@ -138,7 +139,8 @@ let test_loop_cancel () =
   checki "nothing pending" 0 (Transport.Loop.pending_timers loop);
   (* Cancelling after the fact is a no-op (at worst a parked entry). *)
   Transport.Loop.cancel loop h1;
-  checki "still nothing pending" 0 (Transport.Loop.pending_timers loop)
+  checki "still nothing pending" 0 (Transport.Loop.pending_timers loop);
+  Transport.Loop.close loop
 
 let test_loop_schedule_from_callback () =
   let loop = Transport.Loop.create () in
@@ -151,7 +153,124 @@ let test_loop_schedule_from_callback () =
       : Transport.Loop.handle);
   Transport.Loop.run_for loop ~span:(Sim.Sim_time.ms 20);
   checki "chained zero-delay timers both ran" 2 !hits;
-  checkb "clock is monotone" true (Transport.Loop.now_ns loop >= 0)
+  checkb "clock is monotone" true (Transport.Loop.now_ns loop >= 0);
+  Transport.Loop.close loop
+
+(* The time tick hooks take counts against the wait: a timer due while a
+   slow hook runs fires right after it, not a full timer gap later. *)
+let test_loop_timer_after_slow_tick () =
+  let loop = Transport.Loop.create () in
+  let fired_at = ref (-1) in
+  ignore
+    (Transport.Loop.schedule loop ~delay:(Sim.Sim_time.ms 10) (fun () ->
+         fired_at := Transport.Loop.now_ns loop)
+      : Transport.Loop.handle);
+  let slept = ref false in
+  let _h =
+    Transport.Loop.on_tick loop (fun () ->
+        if not !slept then begin
+          slept := true;
+          Unix.sleepf 0.02
+        end)
+  in
+  Transport.Loop.run_while loop (fun () ->
+      !fired_at < 0 && Transport.Loop.now_ns loop < 1_000_000_000);
+  Transport.Loop.close loop;
+  checkb "timer fired" true (!fired_at >= 0);
+  checkb
+    (Printf.sprintf "10 ms timer behind a 20 ms tick fired at %.1f ms (< 27 ms)"
+       (float_of_int !fired_at *. 1e-6))
+    true
+    (!fired_at < 27_000_000)
+
+(* Exactly [k] dispatch rounds. *)
+let run_rounds loop k =
+  let left = ref k in
+  Transport.Loop.run_while loop (fun () ->
+      decr left;
+      !left >= 0)
+
+let test_loop_level_triggered () =
+  let loop = Transport.Loop.create () in
+  let r, w = Unix.pipe () in
+  ignore (Unix.write_substring w "x" 0 1 : int);
+  let hits = ref 0 in
+  Transport.Loop.watch_read loop r (fun () -> incr hits);
+  run_rounds loop 3;
+  checki "an undrained pipe fires every round" 3 !hits;
+  Transport.Loop.unwatch loop r;
+  Transport.Loop.unwatch loop r (* unwatching an unwatched fd is a no-op *);
+  Transport.Loop.close loop;
+  Unix.close r;
+  Unix.close w
+
+let test_loop_read_write_coexist () =
+  let loop = Transport.Loop.create () in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  ignore (Unix.write_substring b "x" 0 1 : int);
+  let log = ref [] in
+  Transport.Loop.watch_write loop a (fun () -> log := `W :: !log);
+  Transport.Loop.watch_read loop a (fun () -> log := `R :: !log);
+  run_rounds loop 1;
+  checkb "both directions fire, the reader first" true (List.rev !log = [ `R; `W ]);
+  log := [];
+  Transport.Loop.unwatch_write loop a;
+  run_rounds loop 2;
+  checkb "unwatch_write keeps the reader" true (!log = [ `R; `R ]);
+  Transport.Loop.unwatch loop a;
+  Transport.Loop.close loop;
+  Unix.close a;
+  Unix.close b
+
+(* Two fds ready in the same round, each in both directions; whichever
+   callback runs first unwatches and closes the other. Nothing may then
+   run on the closed one, in either direction. *)
+let test_loop_unwatch_ready_fd () =
+  let loop = Transport.Loop.create () in
+  let x, x' = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let y, y' = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  ignore (Unix.write_substring x' "x" 0 1 : int);
+  ignore (Unix.write_substring y' "y" 0 1 : int);
+  let closed = ref None and calls = ref [] in
+  let watch me other =
+    let cb () =
+      calls := me :: !calls;
+      if !closed = None then begin
+        Transport.Loop.unwatch loop other;
+        Unix.close other;
+        closed := Some other
+      end
+    in
+    Transport.Loop.watch_read loop me cb;
+    Transport.Loop.watch_write loop me cb
+  in
+  watch x y;
+  watch y x;
+  run_rounds loop 1;
+  (match !closed with
+   | None -> Alcotest.fail "no callback ran"
+   | Some gone ->
+     let survivor = if gone = x then y else x in
+     checkb "the survivor's reader and writer ran, nothing on the closed fd" true
+       (!calls = [ survivor; survivor ]);
+     Transport.Loop.unwatch loop survivor;
+     Unix.close survivor);
+  Transport.Loop.close loop;
+  Unix.close x';
+  Unix.close y'
+
+let test_loop_close_releases_fd () =
+  let fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let before = fds () in
+  let loop = Transport.Loop.create () in
+  checki "a loop holds one fd" (before + 1) (fds ());
+  Transport.Loop.close loop;
+  Transport.Loop.close loop (* closing twice is a no-op *);
+  checki "close releases it" before (fds ());
+  checkb "a closed loop refuses to run" true
+    (match Transport.Loop.run_for loop ~span:0L with
+     | () -> false
+     | exception Invalid_argument _ -> true)
 
 (* -- zero-copy data plane ------------------------------------------------ *)
 
@@ -249,6 +368,7 @@ let multicast_wire ?clamp msgs =
       listeners
   in
   Transport.Conn.close conn;
+  Transport.Loop.close loop;
   (expected_bytes, wires, Transport.Conn.stats conn)
 
 let some_msgs () =
@@ -296,7 +416,8 @@ let test_loop_tick_remove () =
   Transport.Loop.remove_tick loop h (* double removal is a no-op *);
   Transport.Loop.run_for loop ~span:(Sim.Sim_time.ms 2);
   checkb "kept hook ran" true (!kept > 0);
-  checki "removed hook never ran" 0 !removed
+  checki "removed hook never ran" 0 !removed;
+  Transport.Loop.close loop
 
 let test_large_frame_genuine_backpressure () =
   (* Frames several times larger than one kernel write chunk, pushed at a
@@ -367,7 +488,8 @@ let test_large_frame_genuine_backpressure () =
     (String.equal expected (Buffer.contents got));
   Unix.close fd;
   Unix.close lfd;
-  Transport.Conn.close conn
+  Transport.Conn.close conn;
+  Transport.Loop.close loop
 
 let test_multicast_delivery_and_stats () =
   (* Two real Conn endpoints: multicast delivery decodes back to the
@@ -392,7 +514,8 @@ let test_multicast_delivery_and_stats () =
   checki "receiver parsed hello + msg" 2 sb.Transport.Conn.frames_recvd;
   checkb "receiver counted bytes" true (sb.Transport.Conn.bytes_recvd > 0);
   Transport.Conn.close a;
-  Transport.Conn.close b
+  Transport.Conn.close b;
+  Transport.Loop.close loop
 
 (* -- real-TCP clusters --------------------------------------------------- *)
 
@@ -407,8 +530,8 @@ let tcp_cfg () =
     ~view_timeout:(Sim.Sim_time.s 120) ~fetch_grace:(Sim.Sim_time.ms 200)
     ~cost:Crypto.Cost_model.free ()
 
-(* An n the event loop's select(2) cannot serve is refused up front,
-   typed and before any socket is bound, not mid-run with EINVAL. *)
+(* An n whose fds the open-file limit cannot cover is refused up front,
+   typed and before any socket is bound, not mid-run with EMFILE. *)
 let test_tcp_cluster_rejects_oversized_n () =
   let max = Transport.Cluster.max_replicas in
   checkb "the paper's small clusters fit" true (max >= 16);
@@ -553,7 +676,16 @@ let () =
         [ Alcotest.test_case "same-instant FIFO" `Quick test_loop_timer_fifo;
           Alcotest.test_case "cancel" `Quick test_loop_cancel;
           Alcotest.test_case "schedule from callback" `Quick test_loop_schedule_from_callback;
-          Alcotest.test_case "tick hook removal" `Quick test_loop_tick_remove ] );
+          Alcotest.test_case "tick hook removal" `Quick test_loop_tick_remove;
+          Alcotest.test_case "timer after a slow tick hook" `Quick
+            test_loop_timer_after_slow_tick;
+          Alcotest.test_case "undrained fd fires every round" `Quick test_loop_level_triggered;
+          Alcotest.test_case "read and write watches coexist" `Quick
+            test_loop_read_write_coexist;
+          Alcotest.test_case "no callback on an fd closed mid-round" `Quick
+            test_loop_unwatch_ready_fd;
+          Alcotest.test_case "close releases the epoll fd" `Quick
+            test_loop_close_releases_fd ] );
       ( "data plane",
         [ Alcotest.test_case "pool: reuse, poison, double free" `Quick
             test_pool_reuse_poison_double_free;
@@ -568,7 +700,7 @@ let () =
           Alcotest.test_case "multicast: delivery & recv counters" `Quick
             test_multicast_delivery_and_stats ] );
       ( "tcp cluster",
-        [ Alcotest.test_case "rejects an n select cannot serve" `Quick
+        [ Alcotest.test_case "rejects an n over the open-file limit" `Quick
             test_tcp_cluster_rejects_oversized_n;
           Alcotest.test_case "commits & state-hash agreement" `Quick
             test_tcp_cluster_commits_and_converges;
