@@ -87,8 +87,43 @@ let run_sim ?(seed = 42L) build ~n =
       o.Oracle.verdict;
   o
 
+(* The outcome rendered for {!Pin.digest}: the measured numbers, then the
+   rendered trace. *)
+let render_outcome b (o : Oracle.outcome) =
+  Pin.line b "confirmed_at_heal=%d confirmed=%d final_view=%d view_changes=%d"
+    o.Oracle.confirmed_at_heal o.Oracle.confirmed o.Oracle.final_view o.Oracle.view_changes;
+  Buffer.add_string b o.Oracle.trace
+
+(* Pins every sim outcome across commits (seed 42, n=4), where the replay
+   test below only compares two runs of one build. Re-pinning is a
+   deliberate, recorded act. *)
+let sim_pins_n4 =
+  [ ("leader-crash", "acf6072e7193dcb2cfd9a712efdcf4c4");
+    ("leader-crash-checkpoint", "03de95aa28791327d87e917c4a5b90c5");
+    ("f-crashes", "ba1b93fcc71291b6aa6e580750b757e9");
+    ("partition-quorum", "fb49facbce2fd58c98d3db910908f57d");
+    ("slow-leader", "0cafdc38a41dc99a3370c3805c9ec6fa");
+    ("silence-leader", "7e877e7399040d688b6e3cc945bec166");
+    ("equivocating-leader", "0c61a1a7deabeec82b4c817da6ded8d0");
+    ("lagging-replica", "cd9b656c85a63068f3bbe85ef81d1a10");
+    ("duplicate-storm", "4c7207d41147c7df91e22f7e2ed39cd6");
+    ("leader-restart", "a3fd32b7d25ffa62af57daf766b86d59");
+    ("restart-checkpoint", "25595c901f3e35893f8f6b7fe9f954db");
+    ("restart-torn-tail", "3cd81337665606e70851d7cb3281e7d5");
+    ("restart-storm", "407ff93792dbd914b9f62a50a4a3270e");
+    ("overload-burst", "115bd8efec0c7ded64a099e8e6c5888a");
+    ("slow-peer", "d13c1b31a5798260c2c0d23ed5cad449") ]
+
 let test_sim_corpus_n4 () =
-  List.iter (fun build -> ignore (run_sim build ~n:4 : Oracle.outcome)) Corpus.all
+  List.iter
+    (fun build ->
+      let o = run_sim build ~n:4 in
+      let name = o.Oracle.scenario.Scenario.name in
+      let digest = Pin.digest render_outcome o in
+      match List.assoc_opt name sim_pins_n4 with
+      | Some pinned -> Alcotest.(check string) (name ^ " digest") pinned digest
+      | None -> Alcotest.failf "no pinned digest for %s (%s)" name digest)
+    Corpus.all
 
 let test_sim_corpus_n16_spot () =
   ignore (run_sim Corpus.leader_crash ~n:16 : Oracle.outcome);
