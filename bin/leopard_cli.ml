@@ -106,10 +106,9 @@ let leopard_run n load duration warmup alpha bft_size payload mempool_cap silent
 
 (* ---------------- local-cluster (real TCP) ---------------- *)
 
-let local_cluster_run n load client_rate duration drain alpha bft_size payload mempool_cap
+let local_cluster_run n load duration drain alpha bft_size payload mempool_cap
     db_timeout prop_timeout min_confirmed kill kill_at revive_at verify_domains data_dir fsync
     trace_out metrics_out metrics_interval_ns =
-  let load = Option.value client_rate ~default:load in
   let* cfg =
     config (fun () ->
         Core.Config.make ~n ~alpha ~bft_size ~payload ~mempool_cap
@@ -211,7 +210,8 @@ let chaos_run list_only scenario plane sim_ns tcp_n seed trace_dir keep_traces m
       if plane = "sim" || plane = "both" then
         List.iter
           (fun n ->
-            List.iter (fun b -> record (Faults.Sim_plane.run ~seed (b ~n))) builders)
+            List.iter (fun b -> record (Faults.Harness.run ~seed Faults.Harness.Sim (b ~n)))
+              builders)
           sim_ns;
       if plane = "tcp" || plane = "both" then
         List.iter
@@ -224,7 +224,10 @@ let chaos_run list_only scenario plane sim_ns tcp_n seed trace_dir keep_traces m
                   Printf.sprintf "%s.%s-n%d.prom" base sc.Faults.Scenario.name tcp_n)
                 metrics_out
             in
-            record (Faults.Tcp_plane.run ~seed ~data_root:trace_dir ?metrics_out sc))
+            record
+              (Faults.Harness.run ~seed
+                 (Faults.Harness.Tcp { data_root = Some trace_dir; metrics_out })
+                 sc))
           builders;
       let outcomes = List.rev !outcomes in
       Format.printf "@.%a@." Faults.Oracle.pp_outcomes outcomes;
@@ -363,15 +366,6 @@ let run_cmd =
 let local_cluster_cmd =
   let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of replicas (3f+1).") in
   let load = Arg.(value & opt float 2000. & info [ "load" ] ~doc:"Offered load, requests/s.") in
-  let client_rate =
-    Arg.(value & opt (some float) None
-         & info [ "client-rate" ]
-             ~doc:
-               "Client request rate, requests/s (overrides $(b,--load)). With \
-                $(b,--mempool-cap) set, the built-in client runs closed/open hybrid: \
-                rejected submits are re-credited and retried after a cooldown instead of \
-                being force-fed.")
-  in
   let duration = Arg.(value & opt float 5. & info [ "duration" ] ~doc:"Load window, wall seconds.") in
   let drain =
     Arg.(value & opt float 10.
@@ -428,7 +422,7 @@ let local_cluster_cmd =
        ~doc:"Run replicas over real loopback TCP sockets (the deployable transport stack)")
     Term.(
       ret
-        (const local_cluster_run $ n $ load $ client_rate $ duration $ drain $ alpha $ bft_size
+        (const local_cluster_run $ n $ load $ duration $ drain $ alpha $ bft_size
         $ payload_arg $ mempool_cap_arg $ db_timeout $ prop_timeout $ min_confirmed $ kill
         $ kill_at $ revive_at $ verify_domains $ data_dir $ fsync $ trace_out_arg
         $ metrics_out_arg $ metrics_interval_arg))

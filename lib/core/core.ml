@@ -60,8 +60,13 @@ module Replica = Replica
 (** The Leopard replica state machine (§4), including checkpoints
     (Algorithm 3) and the view-change protocol. *)
 
+module Driver = Driver
+(** The plane-agnostic client, confirmation accounting, restart and
+    cluster checks; {!Runner} and [Transport.Cluster] adapt it to their
+    planes. *)
+
 module Runner = Runner
-(** Cluster orchestration and measurement. *)
+(** Cluster orchestration and measurement on the simulator. *)
 
 module Scaling_factor = Scaling_factor
 (** The paper's scaling-factor metric, analytic and measured (§5.2). *)

@@ -1,5 +1,7 @@
-(** Cluster orchestration: build a Leopard deployment on the simulator,
-    drive a workload, and measure what the paper measures.
+(** Cluster orchestration on the simulator: the sim plane's adapter over
+    {!Driver}. It owns the engine, the simulated network, GST delays, the
+    leader stop, bandwidth views and the Table-3 stage breakdown; the
+    client, confirmation and checks are the driver's.
 
     This is the main entry point of the library: benches and examples
     describe an experiment as a {!spec} and read the {!report}. Tests can
@@ -106,23 +108,22 @@ type t
 
 val create : spec -> t
 val engine : t -> Sim.Engine.t
-
-val metrics_report : t -> string option
-(** {!Obs.Registry.expose} of the spec's registry, if one was attached. *)
-
 val network : t -> Msg.t Net.Network.t
+
+val driver : t -> Driver.t
+(** The client, confirmation accounting and cluster checks this adapter
+    runs on the simulator. *)
+
 val replicas : t -> Replica.t array
-val generator : t -> Workload.Generator.t
 val trace : t -> Sim.Trace.t
 val run_until : t -> Sim.Sim_time.span -> unit
 (** Advances the simulation to the given instant (absolute). *)
 
 val restart_replica : t -> Net.Node_id.t -> unit
-(** Process restart: halts the replica, rebuilds it from its sink in
-    [spec.stores] via [Replica.recover] (from genesis if no stores were
-    attached), brings its network endpoint back up and restarts its
-    timers. Distinct from a transport-level crash ([Network.set_down]),
-    which keeps the replica's memory intact. *)
+(** Process restart ({!Driver.restart_replica}): rebuilds the replica
+    from its sink in [spec.stores] (from genesis if no stores were
+    attached) on a fresh sim platform. Distinct from a transport-level
+    crash ([Network.set_down]), which keeps the replica's memory intact. *)
 
 val report : t -> report
 (** Summarizes the run so far. *)
@@ -132,6 +133,3 @@ val honest_ids : t -> Net.Node_id.t list
 val shutdown : t -> unit
 (** Joins the verification pool's domains, if the spec asked for one.
     {!run} does this itself; callers of {!create} must. Idempotent. *)
-
-val check_safety : t -> bool
-(** Position-wise equality of all honest executed logs (Theorem 5.3). *)

@@ -4,7 +4,7 @@
     events plus the invariants the run must uphold ({!expect}); together
     with an RNG seed it fully determines a chaos run on either plane —
     re-running [(seed, scenario)] in the simulator yields a
-    byte-identical trace (see [Sim_plane]).
+    byte-identical trace (see [Harness]).
 
     Grammar (see DESIGN.md §9):
     {v
@@ -17,12 +17,12 @@
     v}
 
     [Crash]/[Revive] are {e transport-partition} faults: the node's
-    links go down and come back ({!Net.Network.set_down} / cluster
-    [set_replica_down]), but its in-memory state survives untouched —
+    links go down and come back ([Core.Driver.set_down]), but its
+    in-memory state survives untouched —
     they model an unreachable replica, not a dead one. [Restart] is the
     {e process} fault: the replica loses everything it did not make
     durable and is rebuilt from its store via [Core.Replica.recover]
-    ([Core.Runner.restart_replica] / cluster [restart_replica]).
+    ([Core.Driver.restart_replica], on either plane).
     Everything else is a link fault evaluated per wire crossing by
     [Injector]. *)
 

@@ -436,7 +436,8 @@ let run (sp : spec) =
   in
   let gen =
     let tick_span = if n >= 128 then Sim_time.ms 100 else Sim_time.ms 20 in
-    Workload.Generator.start engine ~rate:sp.load ~payload:cfg.payload ~targets ~tick:tick_span
+    Workload.Generator.start (Workload.Generator.engine_clock engine)
+      ~rate:sp.load ~payload:cfg.payload ~targets ~tick:tick_span
       ~inject:(fun ~dst ~size cb -> Net.Network.inject network ~dst ~size ~category:"client-req" cb)
       ~submit:(fun ~target b -> submit replicas.(target) b)
       ~until:sp.duration ()

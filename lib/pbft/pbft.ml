@@ -324,7 +324,8 @@ let run (sp : spec) =
         Sim_time.max (Sim_time.us 100)
           (Sim_time.min (Sim_time.ms 20) (Sim_time.of_sec (32. /. sp.load)))
     in
-    Workload.Generator.start engine ~rate:sp.load ~payload:cfg.payload ~targets:[ leader ] ~tick
+    Workload.Generator.start (Workload.Generator.engine_clock engine)
+      ~rate:sp.load ~payload:cfg.payload ~targets:[ leader ] ~tick
       ~inject:(fun ~dst ~size cb -> Net.Network.inject network ~dst ~size ~category:"client-req" cb)
       ~submit:(fun ~target b -> submit replicas.(target) b)
       ~until:sp.duration ()

@@ -3,20 +3,14 @@
     [n] replicas, each with its own {!Conn} endpoint and
     {!Core.Platform}, share one {!Loop} in one process; every message
     between them is framed, written to a socket, read back and decoded —
-    the full deployable stack, minus process isolation. A built-in
-    client submits request batches round-robin to the non-leader
-    replicas and measures confirmation (the (f+1)-th execution of a
-    serial) exactly as the simulator's runner does.
+    the full deployable stack, minus process isolation.
 
-    The client is a closed/open hybrid. With the overload controls off
-    ([mempool_cap = 0] and [pace_on_pressure = false], the defaults) it
-    is the seed's pure open loop. With them on, admission rejections
-    re-credit the refused requests to the rate carry (bounded to a
-    half-second token bucket) and put the rejecting target on a 100 ms
-    retry-after cooldown, and targets whose egress queues are saturated
-    ({!Conn.pressure} at or above 1) are skipped for the tick — so a
-    sustained 10x overload degrades into bounded queues and counted
-    rejections instead of unbounded memory growth.
+    This is the TCP plane's adapter over {!Core.Driver}: the client,
+    confirmation accounting, restart and checks are the driver's, the
+    same code the simulator's [Core.Runner] runs. The client is open
+    loop: every 10 ms of wall-clock time it offers the requests owed
+    since its previous tick, submitted in-process to the target replica
+    (and lost while that replica is down).
 
     Wall-clock time replaces simulated time, so reports are measurements
     of this machine, not of the paper's testbed — the point is to
@@ -56,10 +50,9 @@ val create :
     every pair, creates and starts the replicas. [load] is the client
     request rate (default 2000 req/s) — not offered until
     {!start_load}. [byzantine] assigns adversarial strategies by id
-    (default: all honest). [client_resend] makes the built-in client
-    re-send unconfirmed batches after that span (resend-tagged, so
-    receivers arm the view-change watchdog — required for any TCP-plane
-    view change, exactly as in [Core.Runner]).
+    (default: all honest). [client_resend] makes the client re-send
+    unconfirmed batches after that span (resend-tagged, so receivers arm
+    the view-change watchdog — required for any TCP-plane view change).
 
     [verify_domains] sizes the shared verification pool: crypto checks
     run on worker domains ({!Core.Verify.pooled}) and completions are
@@ -83,7 +76,7 @@ val create :
 
     [obs] attaches a metrics registry to every layer: per-replica
     consensus counters, per-node transport mirrors, the shared verify
-    pool and the per-node WAL stores, plus the cluster's own
+    pool and the per-node WAL stores, plus the driver's
     [leopard_confirm_latency_ns] histogram and client aggregates.
     [metrics_out] writes the exposition text to that file — atomically,
     at most once per [metrics_interval_ns] (default 1 s) from a loop
@@ -93,32 +86,32 @@ val create :
 val loop : t -> Loop.t
 val replicas : t -> Core.Replica.t array
 val nodes : t -> Runtime.node array
-val trace : t -> Sim.Trace.t
+val driver : t -> Core.Driver.t
 
 val start_load : t -> unit
+(** Starts the client (once; later calls do nothing). *)
+
 val stop_load : t -> unit
 
 val offered : t -> int
+(** {!Core.Driver.offered}: every request generated. *)
+
 val confirmed : t -> int
 (** Requests confirmed: counted once, at the (f+1)-th execution of the
     serial containing them. *)
 
 val set_replica_down : t -> Net.Node_id.t -> bool -> unit
 (** Fail-stop / revive a replica's transport (the state machine keeps
-    its state, as with the simulator's [set_down]). A down replica is
-    also dropped from the client's target rotation. *)
+    its state, as with the simulator's [set_down]). Client requests to a
+    down replica are lost. *)
 
 val restart_replica : t -> Net.Node_id.t -> unit
-(** Process restart of one replica: the state machine dies (with its
-    store's un-flushed buffer), a replacement is rebuilt from the node's
-    WAL directory via [Core.Replica.recover], takes over the node's
+(** Process restart of one replica ({!Core.Driver.restart_replica}): the
+    state machine dies with its store's un-flushed buffer, a replacement
+    is rebuilt from the node's WAL directory, takes over the node's
     delivery handler and rejoins immediately. Unlike
     {!set_replica_down}, in-memory state does NOT survive — only what
     the store made durable. *)
-
-val data_dir : t -> string option
-(** The explicit data directory, when one was passed to {!create}
-    ([None] for the auto temp dir, which {!close} removes). *)
 
 val set_fault_filter :
   t -> Net.Node_id.t -> (dst:Net.Node_id.t -> Core.Msg.t -> Conn.fault_verdict) option -> unit
@@ -126,51 +119,30 @@ val set_fault_filter :
     {!Conn.set_fault}); the chaos harness builds partitions and
     drop/delay/duplicate rules out of these. *)
 
-val faulted : t -> int
-(** {!Conn.faulted}, summed over nodes. *)
-
 val transport_stats : t -> Conn.stats
 (** Data-plane counters ({!Conn.stats}) summed over nodes — a fresh
     snapshot record each call. *)
 
-val resends : t -> int
-(** Client re-send copies submitted so far. *)
-
 val rejected : t -> int
-(** Requests the replicas refused at mempool admission ([Rejected]
-    verdicts seen by the client, in requests). Zero with the overload
-    controls off. *)
-
-val throttled : t -> int
-(** Target-ticks the client skipped because the target node's egress
-    pressure was at or above 1. Zero with the overload controls off. *)
+(** {!Core.Driver.rejected}: requests the replicas refused at admission.
+    Zero with the overload controls off. *)
 
 val view_changes : t -> int
-(** Replica view entries beyond view 1, summed over replicas. *)
-
-val vc_triggers : t -> int
-(** View-change triggers fired (replicas giving up on a view). *)
+(** {!Core.Driver.view_changes}: the highest view entered, minus 1. *)
 
 val verify_stats : t -> Exec.Pool.stats option
 (** Verification-pool counters ([None] when verification is inline). *)
-
-val metrics_report : t -> string option
-(** {!Obs.Registry.expose} of the cluster's registry, if one is
-    attached — the full four-layer exposition text. *)
-
-val max_view : t -> int
-(** Highest view any up replica is in (1 = no view change yet). *)
 
 val run_while : t -> (t -> bool) -> unit
 (** Drives the shared loop while the predicate holds. *)
 
 val state_converged : t -> bool
-(** Every up replica reports the same [executed_up_to] and the same
-    {!Core.Replica.state_hash}. *)
+(** {!Core.Driver.converged}: the honest up replicas report the same
+    [executed_up_to] and {!Core.Replica.state_hash}. *)
 
 val ledgers_agree : t -> bool
-(** Position-wise equality of the up replicas' executed ledgers (the
-    safety check, over however far each has executed). *)
+(** {!Core.Driver.safety_ok}: position-wise equality of the honest
+    replicas' executed ledgers, over however far each has executed. *)
 
 val close : t -> unit
 (** Stops the load, closes every connection, store and the loop itself
@@ -183,7 +155,7 @@ type report = {
   n : int;
   offered : int;
   confirmed : int;
-  rejected : int;            (** admission rejections seen by the client *)
+  rejected : int;            (** {!rejected} *)
   throughput : float;        (** confirmed req/s over the load window *)
   latency : Stats.Histogram.t;   (** client-perceived confirmation latency *)
   executed_blocks : int;

@@ -13,8 +13,17 @@ type submit = target:Net.Node_id.t -> Request.t -> unit
 (** Called when a batch has fully entered the target replica (after
     ingress serialization). *)
 
+(** The time source a generator runs on: the simulator's engine, or the
+    socket event loop. *)
+type clock = {
+  now : unit -> Sim.Sim_time.t;
+  schedule : delay:Sim.Sim_time.span -> (unit -> unit) -> unit;
+}
+
+val engine_clock : Sim.Engine.t -> clock
+
 val start :
-  Sim.Engine.t ->
+  clock ->
   rate:float ->
   payload:int ->
   targets:Net.Node_id.t list ->
@@ -25,9 +34,11 @@ val start :
   ?until:Sim.Sim_time.t ->
   unit ->
   t
-(** [start engine ~rate ~payload ~targets ~inject ~submit ()] begins
+(** [start clock ~rate ~payload ~targets ~inject ~submit ()] begins
     injecting [rate] requests/s of [payload] bytes each, round-robin over
-    [targets], batched per [tick] (default 20 ms). Stops at [until] when
+    [targets], batched per [tick] (default 20 ms). Each tick offers the
+    requests owed for the clock time elapsed since the previous one, so a
+    late tick makes up what a stalled host missed. Stops at [until] when
     given. Requires a non-empty target list and [rate >= 0].
 
     [on_batch] is invoked once for every batch the moment it is created

@@ -64,6 +64,10 @@ run_step bench-store dune exec bench/main.exe -- --only store --fast --check-reg
 run_step tcp-smoke dune exec bin/leopard_cli.exe -- local-cluster -n 4 --load 2000 \
   --duration 3 --min-confirmed 1000 --drain 10 --metrics-out _ci_logs/tcp-smoke.prom
 run_step chaos dune exec bin/leopard_cli.exe -- chaos --fast --trace-dir _chaos
+# the event-free TCP scenario as a step of its own: it heals at its first
+# instant, so it is the one that shows the early exit waiting past heal
+run_step chaos-tcp dune exec bin/leopard_cli.exe -- chaos --plane tcp \
+  --scenario overload-burst --trace-dir _chaos
 
 echo
 fail=0

@@ -81,11 +81,13 @@ let test_probabilistic_rule_is_deterministic () =
 
 let run_sim ?(seed = 42L) build ~n =
   let sc = build ~n in
-  let o = Sim_plane.run ~seed sc in
+  let o = Harness.run ~seed Harness.Sim sc in
   if not (Oracle.outcome_ok o) then
     Alcotest.failf "sim %s n=%d failed:@.%a" sc.Scenario.name n Oracle.pp_verdict
       o.Oracle.verdict;
   o
+
+let run_tcp sc = Harness.run ~seed:42L (Harness.Tcp { data_root = None; metrics_out = None }) sc
 
 (* The outcome rendered for {!Pin.digest}: the measured numbers, then the
    rendered trace. *)
@@ -132,9 +134,9 @@ let test_sim_corpus_n16_spot () =
 (* -- determinism: same (seed, scenario) => byte-identical trace ---------- *)
 
 let test_replay_is_byte_identical () =
-  let a = Sim_plane.run ~seed:7L (Corpus.leader_crash ~n:4) in
-  let b = Sim_plane.run ~seed:7L (Corpus.leader_crash ~n:4) in
-  let c = Sim_plane.run ~seed:8L (Corpus.leader_crash ~n:4) in
+  let a = Harness.run ~seed:7L Harness.Sim (Corpus.leader_crash ~n:4) in
+  let b = Harness.run ~seed:7L Harness.Sim (Corpus.leader_crash ~n:4) in
+  let c = Harness.run ~seed:8L Harness.Sim (Corpus.leader_crash ~n:4) in
   checkb "trace non-trivial" true (String.length a.Oracle.trace > 1000);
   checkb "same seed, identical trace" true (String.equal a.Oracle.trace b.Oracle.trace);
   checkb "identical confirmed count" true (a.Oracle.confirmed = b.Oracle.confirmed);
@@ -165,8 +167,17 @@ let test_view_change_sim () =
 
 let test_view_change_tcp () =
   List.iter
-    (fun build -> assert_view_change_recovery (Tcp_plane.run ~seed:42L (build ~n:4)))
+    (fun build -> assert_view_change_recovery (run_tcp (build ~n:4)))
     vc_scenarios
+
+(* An event-free scenario heals at its first instant, so a TCP run that
+   stopped as soon as 100 requests confirmed would check nothing; the
+   early exit must wait at least a second past heal. *)
+let test_tcp_event_free_runs_past_heal () =
+  let o = run_tcp (Corpus.overload_burst ~n:4) in
+  if not (Oracle.outcome_ok o) then
+    Alcotest.failf "tcp overload-burst failed:@.%a" Oracle.pp_verdict o.Oracle.verdict;
+  checkb "ran at least 1 s" true (o.Oracle.wall_sec >= 1.)
 
 (* -- both planes: process restart must recover from the durable store ---- *)
 
@@ -193,7 +204,7 @@ let test_restart_sim () =
 
 let test_restart_tcp () =
   List.iter
-    (fun build -> assert_restart_recovery (Tcp_plane.run ~seed:42L (build ~n:4)))
+    (fun build -> assert_restart_recovery (run_tcp (build ~n:4)))
     restart_scenarios
 
 (* The acceptance run in one test: confirm >= 1000 requests, process-kill
@@ -316,6 +327,9 @@ let () =
             test_view_change_sim;
           Alcotest.test_case "tcp plane recovers via view change" `Slow
             test_view_change_tcp ] );
+      ( "early exit",
+        [ Alcotest.test_case "event-free tcp scenario runs past heal" `Quick
+            test_tcp_event_free_runs_past_heal ] );
       ( "restart",
         [ Alcotest.test_case "sim plane recovers from the store" `Quick
             test_restart_sim;

@@ -562,6 +562,33 @@ let test_tcp_cluster_commits_and_converges () =
       (List.for_all (fun (_, h') -> Crypto.Hash.equal h h') rest)
   | [] -> Alcotest.fail "no state hashes")
 
+(* The client owes requests for the clock time that passed, not per tick
+   it got to run: with the loop stalled 30 ms in every 100 ms, a client
+   that offered a fixed count per 10 ms tick would fall ~25% short. *)
+let test_tcp_client_offers_rate_through_stalls () =
+  let load = 2000. and seconds = 2. in
+  let cluster = Transport.Cluster.create ~cfg:(tcp_cfg ()) ~load () in
+  Fun.protect
+    ~finally:(fun () -> Transport.Cluster.close cluster)
+    (fun () ->
+      let loop = Transport.Cluster.loop cluster in
+      let next_stall = ref 0 in
+      let stall =
+        Transport.Loop.on_tick loop (fun () ->
+            let now = Transport.Loop.now_ns loop in
+            if now >= !next_stall then begin
+              next_stall := now + 100_000_000;
+              Unix.sleepf 0.03
+            end)
+      in
+      Transport.Cluster.start_load cluster;
+      let stop_at = Transport.Loop.now_ns loop + int_of_float (seconds *. 1e9) in
+      Transport.Cluster.run_while cluster (fun _ -> Transport.Loop.now_ns loop < stop_at);
+      Transport.Loop.remove_tick loop stall;
+      let offered = Transport.Cluster.offered cluster in
+      if float_of_int offered < 0.9 *. load *. seconds then
+        Alcotest.failf "offered %d requests in %.0f s at %.0f req/s" offered seconds load)
+
 let run_until_or_deadline cluster ~deadline_ns pred =
   Transport.Cluster.run_while cluster (fun c ->
       Transport.Loop.now_ns (Transport.Cluster.loop c) < deadline_ns && not (pred c));
@@ -704,6 +731,8 @@ let () =
             test_tcp_cluster_rejects_oversized_n;
           Alcotest.test_case "commits & state-hash agreement" `Quick
             test_tcp_cluster_commits_and_converges;
+          Alcotest.test_case "client offers its rate through loop stalls" `Quick
+            test_tcp_client_offers_rate_through_stalls;
           Alcotest.test_case "metrics cover all four layers" `Quick
             test_tcp_cluster_metrics_all_layers;
           Alcotest.test_case "fault: kill, survive, reconnect" `Quick

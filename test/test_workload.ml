@@ -61,7 +61,8 @@ let test_generator_rate_and_targets () =
   let received = Hashtbl.create 8 in
   let submitted = ref 0 in
   let gen =
-    Workload.Generator.start e ~rate:1000. ~payload:64 ~targets:[ 1; 2; 3 ]
+    Workload.Generator.start (Workload.Generator.engine_clock e)
+      ~rate:1000. ~payload:64 ~targets:[ 1; 2; 3 ]
       ~inject:(fun ~dst ~size:_ cb ->
         Hashtbl.replace received dst (1 + Option.value ~default:0 (Hashtbl.find_opt received dst));
         cb ())
@@ -77,7 +78,8 @@ let test_generator_rate_and_targets () =
 let test_generator_stop () =
   let e = Engine.create () in
   let gen =
-    Workload.Generator.start e ~rate:1000. ~payload:64 ~targets:[ 0 ]
+    Workload.Generator.start (Workload.Generator.engine_clock e)
+      ~rate:1000. ~payload:64 ~targets:[ 0 ]
       ~inject:(fun ~dst:_ ~size:_ cb -> cb ())
       ~submit:(fun ~target:_ _ -> ())
       ()
@@ -90,7 +92,8 @@ let test_generator_stop () =
 let test_generator_batches_recorded () =
   let e = Engine.create () in
   let gen =
-    Workload.Generator.start e ~rate:100. ~payload:64 ~targets:[ 0 ]
+    Workload.Generator.start (Workload.Generator.engine_clock e)
+      ~rate:100. ~payload:64 ~targets:[ 0 ]
       ~inject:(fun ~dst:_ ~size:_ cb -> cb ())
       ~submit:(fun ~target:_ _ -> ())
       ~until:(Sim_time.s 1) ()
@@ -104,7 +107,8 @@ let test_generator_batches_recorded () =
 let test_generator_make_batch () =
   let e = Engine.create () in
   let gen =
-    Workload.Generator.start e ~rate:0. ~payload:64 ~targets:[ 0 ]
+    Workload.Generator.start (Workload.Generator.engine_clock e)
+      ~rate:0. ~payload:64 ~targets:[ 0 ]
       ~inject:(fun ~dst:_ ~size:_ cb -> cb ())
       ~submit:(fun ~target:_ _ -> ())
       ()
