@@ -53,7 +53,6 @@ type t = {
 }
 
 let plane t = t.plane
-let cfg t = t.sp.cfg
 let replicas t = t.replicas
 let trace t = t.sp.trace
 let tally t = t.tally
@@ -112,7 +111,8 @@ let hooks t =
       (fun ~id:_ ~abandoned:_ ->
         if t.first_vc_trigger = None then t.first_vc_trigger <- Some (t.plane.now ()));
     on_propose =
-      (fun ~id:_ ~sn ~at -> if not (Hashtbl.mem t.propose_times sn) then Hashtbl.add t.propose_times sn at);
+      (fun ~id:_ ~sn ~at ->
+        if not (Hashtbl.mem t.propose_times sn) then Hashtbl.add t.propose_times sn at);
     on_checkpoint = (fun ~id:_ ~lw -> prune_below t lw) }
 
 (* -- checks ------------------------------------------------------------- *)
@@ -256,7 +256,7 @@ let schedule_resends t timeout =
     let before_horizon =
       match t.sp.horizon with Some h -> Sim_time.compare now h < 0 | None -> true
     in
-    if before_horizon && not t.closed then t.plane.schedule ~delay:period scan
+    if before_horizon then t.plane.schedule ~delay:period scan
   in
   t.plane.schedule ~delay:timeout scan
 
@@ -321,8 +321,6 @@ let close t =
   end
 
 (* -- faults ------------------------------------------------------------- *)
-
-let set_down t id down = t.plane.set_down id down
 
 let restart_replica t id =
   Replica.halt t.replicas.(id);

@@ -65,7 +65,11 @@ type spec = {
           instruments, and the driver the client aggregates
           ([leopard_cluster_*]) *)
   on_confirm :
-    at:Sim.Sim_time.t -> proposed:Sim.Sim_time.t option -> Datablock.t -> Workload.Request.t -> unit;
+    at:Sim.Sim_time.t ->
+    proposed:Sim.Sim_time.t option ->
+    Datablock.t ->
+    Workload.Request.t ->
+    unit;
       (** called once per newly confirmed batch, with the instant its
           serial reached f+1 executions, the instant the serial was first
           proposed (if seen) and the datablock that carried it *)
@@ -91,16 +95,11 @@ val restart_replica : t -> Net.Node_id.t -> unit
     starts it. Unlike [plane.set_down], in-memory state does not survive,
     only what the store made durable. *)
 
-val set_down : t -> Net.Node_id.t -> bool -> unit
-(** [plane.set_down]: a transport-level crash or revival; the replica's
-    memory survives. *)
-
 val close : t -> unit
 (** Stops the client and drops the per-serial and per-batch tables; the
     counts stay readable. *)
 
 val plane : t -> plane
-val cfg : t -> Config.t
 val replicas : t -> Replica.t array
 val trace : t -> Sim.Trace.t
 val tally : t -> Workload.Tally.t

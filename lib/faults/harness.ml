@@ -144,8 +144,8 @@ let run ?(seed = 42L) ?load plane (sc : Scenario.t) =
               Trace.recordf trace ~at:(p.Core.Driver.now ()) ~tag:"chaos" "%a" Scenario.pp_action
                 e.Scenario.action;
               match e.Scenario.action with
-              | Scenario.Crash id -> Core.Driver.set_down d id true
-              | Scenario.Revive id -> Core.Driver.set_down d id false
+              | Scenario.Crash id -> p.Core.Driver.set_down id true
+              | Scenario.Revive id -> p.Core.Driver.set_down id false
               | Scenario.Restart id -> Core.Driver.restart_replica d id
               | link_fault -> ignore (Injector.apply inj link_fault : bool)))
         sc.Scenario.events;
@@ -156,7 +156,8 @@ let run ?(seed = 42L) ?load plane (sc : Scenario.t) =
       let confirmed_at_heal = Core.Driver.confirmed d in
       let k = cfg.Core.Config.k in
       let state_sync id =
-        let exec = Core.Ledger.executed_up_to (Core.Replica.ledger (Core.Driver.replicas d).(id)) in
+        let r = (Core.Driver.replicas d).(id) in
+        let exec = Core.Ledger.executed_up_to (Core.Replica.ledger r) in
         exec > 0 && exec + k >= Core.Driver.frontier d
       in
       let expect = sc.Scenario.expect in

@@ -1,7 +1,7 @@
 (** Run a chaos scenario on either plane.
 
     One harness over {!Core.Driver}: the same injector, the same event
-    dispatch (crash and revive through the driver's fail-stop, restart
+    dispatch (crash and revive through the plane's fail-stop, restart
     through its process restart, link faults through the {!Injector}) and
     the same oracle inputs, read from the driver's checks. What differs
     per plane is only the host:

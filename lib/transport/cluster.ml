@@ -2,8 +2,9 @@ type t = {
   loop : Loop.t;
   nodes : Runtime.node array;
   driver : Core.Driver.t;
-  mutable load_started_ns : int;
-  mutable load_stopped_ns : int;
+  (* the load window, for the report's rate *)
+  mutable load_started_ns : int option;
+  mutable load_stopped_ns : int option;
   (* verification pool (None = inline verification on the loop thread) *)
   verify_pool : Exec.Pool.t option;
   mutable verify_tick : Loop.tick_handle option;
@@ -39,14 +40,14 @@ let verify_stats t = Option.map Exec.Pool.stats t.verify_pool
 let batch_period = Sim.Sim_time.ms 10
 
 let start_load t =
-  if t.load_started_ns = 0 then begin
-    t.load_started_ns <- Loop.now_ns t.loop;
+  if t.load_started_ns = None then begin
+    t.load_started_ns <- Some (Loop.now_ns t.loop);
     Core.Driver.start_load t.driver
   end
 
 let stop_load t =
-  if t.load_started_ns > 0 && t.load_stopped_ns = 0 then begin
-    t.load_stopped_ns <- Loop.now_ns t.loop;
+  if t.load_started_ns <> None && t.load_stopped_ns = None then begin
+    t.load_stopped_ns <- Some (Loop.now_ns t.loop);
     Core.Driver.stop_load t.driver
   end
 
@@ -196,8 +197,8 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
     { loop;
       nodes;
       driver;
-      load_started_ns = 0;
-      load_stopped_ns = 0;
+      load_started_ns = None;
+      load_stopped_ns = None;
       verify_pool;
       verify_tick = None;
       stores;
@@ -242,7 +243,7 @@ let create ~cfg ?(load = 2000.) ?outbuf_hwm ?(trace = Sim.Trace.create ~enabled:
   t
 
 let set_replica_down t id down =
-  Core.Driver.set_down t.driver id down;
+  (Core.Driver.plane t.driver).Core.Driver.set_down id down;
   Sim.Trace.recordf (Core.Driver.trace t.driver) ~at:(Loop.now t.loop)
     ~tag:(if down then "cluster.kill" else "cluster.revive")
     "%a" Net.Node_id.pp id
@@ -381,9 +382,8 @@ let pp_report fmt r =
 
 let report_of t =
   let window_ns =
-    (if t.load_stopped_ns > t.load_started_ns then t.load_stopped_ns
-     else Loop.now_ns t.loop)
-    - t.load_started_ns
+    Option.value t.load_stopped_ns ~default:(Loop.now_ns t.loop)
+    - Option.value t.load_started_ns ~default:0
   in
   let wall_sec = float_of_int (max 1 window_ns) *. 1e-9 in
   let tally = Core.Driver.tally t.driver in
