@@ -4,7 +4,7 @@
     [Transport.Cluster] over loopback TCP. It supplies a {!plane} — a
     clock, a fresh {!Platform.t} per replica incarnation, the client's
     ingress path and fail-stop control — and keeps what only it has
-    (engine and network, or loop, sockets and WAL files). The driver owns
+    (engine and network, or loop, sockets and WAL files). This module owns
     everything above that:
 
     - key material, Byzantine strategies and the replica array;
@@ -62,7 +62,7 @@ type spec = {
   trace : Sim.Trace.t;
   obs : Obs.Registry.t option;
       (** replicas register their counters here, the tally its confirm
-          instruments, and the driver the client aggregates
+          instruments, and this module the client aggregates
           ([leopard_cluster_*]) *)
   on_confirm :
     at:Sim.Sim_time.t ->

@@ -1,7 +1,7 @@
 (** Cluster orchestration on the simulator: the sim plane's adapter over
     {!Driver}. It owns the engine, the simulated network, GST delays, the
     leader stop, bandwidth views and the Table-3 stage breakdown; the
-    client, confirmation and checks are the driver's.
+    client, confirmation and checks are {!Driver}'s.
 
     This is the main entry point of the library: benches and examples
     describe an experiment as a {!spec} and read the {!report}. Tests can

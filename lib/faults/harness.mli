@@ -3,7 +3,7 @@
     One harness over {!Core.Driver}: the same injector, the same event
     dispatch (crash and revive through the plane's fail-stop, restart
     through its process restart, link faults through the {!Injector}) and
-    the same oracle inputs, read from the driver's checks. What differs
+    the same oracle inputs, read from the checks {!Core.Driver} keeps. What differs
     per plane is only the host:
 
     - {b Sim}: a [Core.Runner] cluster with the injector as the

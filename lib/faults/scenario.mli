@@ -17,7 +17,7 @@
     v}
 
     [Crash]/[Revive] are {e transport-partition} faults: the node's
-    links go down and come back (the driver plane's [set_down]), but its
+    links go down and come back (the plane's [Core.Driver] [set_down]), but its
     in-memory state survives untouched —
     they model an unreachable replica, not a dead one. [Restart] is the
     {e process} fault: the replica loses everything it did not make

@@ -6,7 +6,7 @@
     the full deployable stack, minus process isolation.
 
     This is the TCP plane's adapter over {!Core.Driver}: the client,
-    confirmation accounting, restart and checks are the driver's, the
+    confirmation accounting, restart and checks are [Core.Driver]'s, the
     same code the simulator's [Core.Runner] runs. The client is open
     loop: every 10 ms of wall-clock time it offers the requests owed
     since its previous tick, submitted in-process to the target replica
@@ -76,7 +76,7 @@ val create :
 
     [obs] attaches a metrics registry to every layer: per-replica
     consensus counters, per-node transport mirrors, the shared verify
-    pool and the per-node WAL stores, plus the driver's
+    pool and the per-node WAL stores, plus [Core.Driver]'s
     [leopard_confirm_latency_ns] histogram and client aggregates.
     [metrics_out] writes the exposition text to that file — atomically,
     at most once per [metrics_interval_ns] (default 1 s) from a loop
