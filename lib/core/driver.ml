@@ -47,8 +47,10 @@ type t = {
      exponential backoff). A scan pops only the entries that are due;
      confirmed batches are dropped lazily when their deadline surfaces. *)
   resend_queue : (Workload.Request.t * int) Heap.t;
-  mutable resends : int;  (* re-send copies submitted *)
-  mutable rejected : int;
+  (* client aggregates, bumped where they happen *)
+  offered : Obs.Counter.t;
+  resends : Obs.Counter.t;  (* re-send copies submitted *)
+  rejected : Obs.Counter.t;
   mutable closed : bool;
 }
 
@@ -57,9 +59,9 @@ let replicas t = t.replicas
 let trace t = t.sp.trace
 let tally t = t.tally
 let confirmed t = Workload.Tally.confirmed t.tally
-let rejected t = t.rejected
+let rejected t = Obs.Counter.value t.rejected
 let view_changes t = t.view_changes
-let offered t = match t.gen with Some g -> Workload.Generator.offered g | None -> 0
+let offered t = Obs.Counter.value t.offered
 
 let all_confirmed t =
   match t.gen with
@@ -162,6 +164,10 @@ let create plane sp =
   in
   let strategies = Array.make n Byzantine.Honest in
   List.iter (fun (id, s) -> strategies.(id) <- s) sp.byzantine;
+  (* The client's and the tally's instruments; replicas register only
+     in a caller's registry. *)
+  let reg = match sp.obs with Some r -> r | None -> Obs.Registry.create () in
+  let counter name help = Obs.Registry.counter reg ~help name in
   let t =
     { plane;
       sp;
@@ -171,15 +177,17 @@ let create plane sp =
       tkeys;
       strategies;
       replicas = [||];
-      tally = Workload.Tally.create ~f_plus_1:(Config.max_faulty cfg + 1) ?obs:sp.obs ();
+      tally = Workload.Tally.create ~f_plus_1:(Config.max_faulty cfg + 1) ~obs:reg ();
       propose_times = Hashtbl.create 1024;
       first_vc_trigger = None;
       last_view_entry = None;
       view_changes = 0;
       gen = None;
       resend_queue = Heap.create ();
-      resends = 0;
-      rejected = 0;
+      offered = counter "leopard_cluster_offered_total" "client requests offered";
+      resends = counter "leopard_cluster_resends_total" "client re-send copies";
+      rejected =
+        counter "leopard_cluster_rejected_total" "client requests refused at replica admission";
       closed = false }
   in
   let hooks = hooks t in
@@ -189,25 +197,10 @@ let create plane sp =
           ~tsetup ~tkey:tkeys.(id) ?obs:sp.obs ~strategy:strategies.(id) ~hooks ~trace:sp.trace
           ());
   Array.iter Replica.start t.replicas;
-  (* Client and consensus aggregates, refreshed at scrape. *)
-  (match sp.obs with
-   | None -> ()
-   | Some reg ->
-     let counter name help = Obs.Registry.counter reg ~help name in
-     let offered_c = counter "leopard_cluster_offered_total" "client requests offered"
-     and resends_c = counter "leopard_cluster_resends_total" "client re-send copies"
-     and rejected_c =
-       counter "leopard_cluster_rejected_total" "client requests refused at replica admission"
-     and blocks_c = counter "leopard_cluster_executed_blocks_total" "blocks f+1-executed"
-     and max_view_g =
-       Obs.Registry.gauge reg ~help:"highest view of any honest replica" "leopard_cluster_max_view"
-     in
-     Obs.Registry.on_collect reg (fun () ->
-         Obs.Counter.mirror offered_c (offered t);
-         Obs.Counter.mirror resends_c t.resends;
-         Obs.Counter.mirror rejected_c t.rejected;
-         Obs.Counter.mirror blocks_c (Workload.Tally.serials t.tally);
-         Obs.Gauge.set max_view_g (max_view t)));
+  let max_view_g =
+    Obs.Registry.gauge reg ~help:"highest view of any honest replica" "leopard_cluster_max_view"
+  in
+  Obs.Registry.on_collect reg (fun () -> Obs.Gauge.set max_view_g (max_view t));
   t
 
 (* -- the client --------------------------------------------------------- *)
@@ -217,7 +210,7 @@ let create plane sp =
 let submit t dst b =
   match Replica.submit t.replicas.(dst) b with
   | Replica.Admitted -> ()
-  | Replica.Rejected _ -> t.rejected <- t.rejected + b.Workload.Request.count
+  | Replica.Rejected _ -> Obs.Counter.add t.rejected b.Workload.Request.count
 
 let send t ~dst b =
   t.plane.ingress ~dst ~size:(Workload.Request.wire_bytes b) (fun () -> submit t dst b)
@@ -232,7 +225,7 @@ let resend_batch t (b : Workload.Request.t) =
   let leader = Config.leader_of_view cfg 1 in
   Workload.Assign.replicas_for ~n:cfg.Config.n ~s:fanout ~leader ~key:b.Workload.Request.id
   |> List.iter (fun dst ->
-         t.resends <- t.resends + 1;
+         Obs.Counter.incr t.resends;
          send t ~dst copy)
 
 let schedule_resends t timeout =
@@ -276,15 +269,17 @@ let start_load t =
           && (sp.resend <> None || not (Byzantine.is_byzantine t.strategies.(id))))
         (List.init cfg.Config.n Fun.id)
     in
-    (* Every new batch registers its first re-send deadline as it is
-       born; the scan then only ever touches due entries. *)
-    let on_batch =
-      Option.map
-        (fun timeout (b : Workload.Request.t) ->
-          Heap.add_ns t.resend_queue
-            ~key_ns:(Int64.to_int b.Workload.Request.born + Int64.to_int timeout)
-            ~seq:b.Workload.Request.id (b, 0))
-        sp.resend
+    (* Every new batch is counted offered and registers its first
+       re-send deadline as it is born; the scan then only ever touches
+       due entries. *)
+    let on_batch (b : Workload.Request.t) =
+      Obs.Counter.add t.offered b.Workload.Request.count;
+      match sp.resend with
+      | Some timeout ->
+        Heap.add_ns t.resend_queue
+          ~key_ns:(Int64.to_int b.Workload.Request.born + Int64.to_int timeout)
+          ~seq:b.Workload.Request.id (b, 0)
+      | None -> ()
     in
     (* Client fan-out s > 1 (§4.1): each batch also goes to s - 1 extra
        mu-chosen replicas; the tally counts each batch id once. *)
@@ -305,7 +300,7 @@ let start_load t =
         (Workload.Generator.start
            { Workload.Generator.now = t.plane.now; schedule = t.plane.schedule }
            ~rate:sp.load ~payload:cfg.Config.payload ~targets ~tick:sp.tick
-           ~inject:t.plane.ingress ~submit:on_arrival ?on_batch ?until:sp.load_until ());
+           ~inject:t.plane.ingress ~submit:on_arrival ~on_batch ?until:sp.load_until ());
     Option.iter (schedule_resends t) sp.resend
   end
 

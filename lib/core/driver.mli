@@ -63,7 +63,9 @@ type spec = {
   obs : Obs.Registry.t option;
       (** replicas register their counters here, the tally its confirm
           instruments, and this module the client aggregates
-          ([leopard_cluster_*]) *)
+          ([leopard_cluster_*]) that {!offered} and {!rejected} read
+          back. With [None] the tally and the client use a private
+          registry and replicas register nothing. *)
   on_confirm :
     at:Sim.Sim_time.t ->
     proposed:Sim.Sim_time.t option ->

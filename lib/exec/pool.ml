@@ -14,7 +14,7 @@ type 'a future = {
 }
 
 type t = {
-  m : Mutex.t; (* guards work, stop, inflight and the stat counters *)
+  m : Mutex.t; (* guards work, stop and inflight *)
   cv : Condition.t;
   work : task Queue.t;
   mutable stop : bool;
@@ -27,15 +27,14 @@ type t = {
   notify_r : Unix.file_descr;
   notify_w : Unix.file_descr;
   mutable closed : bool;
-  (* stats (under [m] except [drained]/[busy_ns], under [dm]) *)
-  mutable tasks : int;
-  mutable batches : int;
-  mutable inline_runs : int;
-  mutable idle_waits : int;
-  mutable drained : int;
-  mutable busy_ns : int;
-  (* set once at create; recorded from worker domains (DLS-sharded) *)
-  mutable task_lat : Obs.Histogram.t option;
+  (* stats, bumped where they happen; [task_lat] is recorded from the
+     worker domains and its sum is the busy time *)
+  tasks : Obs.Counter.t;
+  batches : Obs.Counter.t;
+  inline_runs : Obs.Counter.t;
+  idle_waits : Obs.Counter.t;
+  drained : Obs.Counter.t;
+  task_lat : Obs.Histogram.t;
 }
 
 type stats = {
@@ -59,7 +58,7 @@ let worker t () =
             | None ->
                 if t.stop then None
                 else begin
-                  t.idle_waits <- t.idle_waits + 1;
+                  Obs.Counter.incr t.idle_waits;
                   Condition.wait t.cv t.m;
                   take ()
                 end
@@ -73,16 +72,13 @@ let worker t () =
         (* [j] never raises: submission wraps the user function so the
            outcome (value or exception) is captured in the future. *)
         j ();
-        let dt = now_ns () - start in
-        (match t.task_lat with Some h -> Obs.Histogram.record h dt | None -> ());
-        Mutex.protect t.m (fun () ->
-            t.inflight <- t.inflight - 1;
-            t.busy_ns <- t.busy_ns + (if dt > 0 then dt else 0));
+        Obs.Histogram.record t.task_lat (now_ns () - start);
+        Mutex.protect t.m (fun () -> t.inflight <- t.inflight - 1);
         loop ()
   in
   loop ()
 
-let create ?obs ?domains ?budget () =
+let create ?(obs = Obs.Registry.create ()) ?domains ?budget () =
   let domains =
     match domains with
     | Some d ->
@@ -100,6 +96,7 @@ let create ?obs ?domains ?budget () =
   let notify_r, notify_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock notify_r;
   Unix.set_nonblock notify_w;
+  let c name help = Obs.Registry.counter obs ~help name in
   let t =
     {
       m = Mutex.create ();
@@ -114,54 +111,24 @@ let create ?obs ?domains ?budget () =
       notify_r;
       notify_w;
       closed = false;
-      tasks = 0;
-      batches = 0;
-      inline_runs = 0;
-      idle_waits = 0;
-      drained = 0;
-      busy_ns = 0;
-      task_lat = None;
+      tasks = c "leopard_verify_tasks_total" "tasks submitted (inline included)";
+      batches = c "leopard_verify_batches_total" "batch submissions";
+      inline_runs = c "leopard_verify_inline_runs_total" "budget-full inline fallbacks";
+      idle_waits = c "leopard_verify_idle_waits_total" "worker idle transitions";
+      drained = c "leopard_verify_drained_total" "completions delivered by drain";
+      task_lat =
+        Obs.Registry.histogram obs ~help:"verify task wall time (ns)"
+          "leopard_verify_task_latency_ns";
     }
   in
-  (match obs with
-  | None -> ()
-  | Some reg ->
-      t.task_lat <-
-        Some
-          (Obs.Registry.histogram reg ~help:"verify task wall time (ns)"
-             "leopard_verify_task_latency_ns");
-      let depth =
-        Obs.Registry.gauge reg ~help:"queued verify tasks" "leopard_verify_queue_depth"
-      in
-      let inflight =
-        Obs.Registry.gauge reg ~help:"verify tasks in flight" "leopard_verify_inflight"
-      in
-      let c name help = Obs.Registry.counter reg ~help name in
-      let tasks_c = c "leopard_verify_tasks_total" "tasks submitted (inline included)" in
-      let batches_c = c "leopard_verify_batches_total" "batch submissions" in
-      let inline_c = c "leopard_verify_inline_runs_total" "budget-full inline fallbacks" in
-      let idle_c = c "leopard_verify_idle_waits_total" "worker idle transitions" in
-      let drained_c = c "leopard_verify_drained_total" "completions delivered by drain" in
-      (* Scrape-time mirror of the pool's own counters: the hot path
-         keeps its existing mutex-guarded ints, obs pays nothing. *)
-      Obs.Registry.on_collect reg (fun () ->
-          let depth_v, inflight_v, tasks_v, batches_v, inline_v, idle_v =
-            Mutex.protect t.m (fun () ->
-                ( Queue.length t.work,
-                  t.inflight,
-                  t.tasks,
-                  t.batches,
-                  t.inline_runs,
-                  t.idle_waits ))
-          in
-          let drained_v = Mutex.protect t.dm (fun () -> t.drained) in
-          Obs.Gauge.set depth depth_v;
-          Obs.Gauge.set inflight inflight_v;
-          Obs.Counter.mirror tasks_c tasks_v;
-          Obs.Counter.mirror batches_c batches_v;
-          Obs.Counter.mirror inline_c inline_v;
-          Obs.Counter.mirror idle_c idle_v;
-          Obs.Counter.mirror drained_c drained_v));
+  let depth = Obs.Registry.gauge obs ~help:"queued verify tasks" "leopard_verify_queue_depth" in
+  let inflight =
+    Obs.Registry.gauge obs ~help:"verify tasks in flight" "leopard_verify_inflight"
+  in
+  Obs.Registry.on_collect obs (fun () ->
+      let depth_v, inflight_v = Mutex.protect t.m (fun () -> (Queue.length t.work, t.inflight)) in
+      Obs.Gauge.set depth depth_v;
+      Obs.Gauge.set inflight inflight_v);
   t.domains <- Array.init domains (fun _ -> Domain.spawn (worker t));
   t
 
@@ -195,10 +162,9 @@ let drain t =
   in
   clear ();
   let pending = Queue.create () in
-  Mutex.protect t.dm (fun () ->
-      Queue.transfer t.done_q pending;
-      t.drained <- t.drained + Queue.length pending);
+  Mutex.protect t.dm (fun () -> Queue.transfer t.done_q pending);
   let n = Queue.length pending in
+  Obs.Counter.add t.drained n;
   Queue.iter (fun k -> k ()) pending;
   n
 
@@ -215,14 +181,13 @@ let enqueue t jobs =
         let rec go acc = function
           | [] -> List.rev acc
           | j :: rest ->
+              Obs.Counter.incr t.tasks;
               if t.inflight >= t.budget then begin
-                t.inline_runs <- t.inline_runs + 1;
-                t.tasks <- t.tasks + 1;
+                Obs.Counter.incr t.inline_runs;
                 go (j :: acc) rest
               end
               else begin
                 t.inflight <- t.inflight + 1;
-                t.tasks <- t.tasks + 1;
                 Queue.push j t.work;
                 go acc rest
               end
@@ -251,8 +216,8 @@ let submit t f =
   enqueue t [ job ];
   fut
 
-let submit_batch t fs =
-  Mutex.protect t.m (fun () -> t.batches <- t.batches + 1);
+let submit_batch (t : t) fs =
+  Obs.Counter.incr t.batches;
   let futs, jobs = List.split (List.map wrap_future fs) in
   enqueue t jobs;
   futs
@@ -278,8 +243,8 @@ let async t f k =
   in
   enqueue t [ job ]
 
-let async_all t fs k =
-  Mutex.protect t.m (fun () -> t.batches <- t.batches + 1);
+let async_all (t : t) fs k =
+  Obs.Counter.incr t.batches;
   match fs with
   | [] -> push_done t (fun () -> k [])
   | fs ->
@@ -307,13 +272,14 @@ let async_all t fs k =
       in
       enqueue t jobs
 
-let stats t =
-  let tasks, batches, inline_runs, idle_waits, busy_ns =
-    Mutex.protect t.m (fun () ->
-        (t.tasks, t.batches, t.inline_runs, t.idle_waits, t.busy_ns))
-  in
-  let drained = Mutex.protect t.dm (fun () -> t.drained) in
-  { tasks; batches; inline_runs; idle_waits; drained; busy_ns }
+let stats (t : t) =
+  let v = Obs.Counter.value in
+  { tasks = v t.tasks;
+    batches = v t.batches;
+    inline_runs = v t.inline_runs;
+    idle_waits = v t.idle_waits;
+    drained = v t.drained;
+    busy_ns = Obs.Histogram.sum t.task_lat }
 
 let shutdown t =
   let already =

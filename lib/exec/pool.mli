@@ -45,11 +45,11 @@ val create : ?obs:Obs.Registry.t -> ?domains:int -> ?budget:int -> unit -> t
     owner) with an in-flight budget of [budget] tasks (default
     [64 * domains]). Requires [domains >= 1] and [budget >= 1].
 
-    With [?obs], workers record per-task wall time into a
-    [leopard_verify_task_latency_ns] histogram, and a collect hook
-    exposes queue depth, in-flight count and the {!stats} counters as
-    [leopard_verify_*] metrics — the task hot path itself is untouched
-    apart from one histogram record per task. *)
+    The {!stats} counters are [leopard_verify_*] instruments in [obs]
+    (a private registry when none is given), bumped where they happen;
+    workers record per-task wall time into
+    [leopard_verify_task_latency_ns], whose sum is [busy_ns]. A collect
+    hook refreshes the queue-depth and in-flight gauges at scrape. *)
 
 val size : t -> int
 (** Number of worker domains. *)
@@ -92,6 +92,7 @@ val notify_fd : t -> Unix.file_descr
     it. Do not close it; {!shutdown} does. *)
 
 val stats : t -> stats
+(** The counters read back at call time. *)
 
 val shutdown : t -> unit
 (** Finishes all queued work, joins the worker domains and closes the

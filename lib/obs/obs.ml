@@ -2,9 +2,9 @@
 
    Hot-path discipline: counters and gauges are one unboxed [int
    Atomic.t] each ([fetch_and_add] / [set] — no allocation, no lock);
-   histograms keep one shard per recording domain behind a [Domain.DLS]
-   key so the verify pool's workers never contend with the event loop,
-   and the shard update is plain int-array arithmetic. Everything
+   histograms keep one [Stats.Histogram] shard per recording domain so
+   the verify pool's workers never contend with the event loop, and the
+   shard update is plain int arithmetic. Everything
    allocation-ful (registration, scraping, merging) happens off the hot
    path, under the registry mutex. *)
 
@@ -15,7 +15,6 @@ module Counter = struct
   let incr (t : t) = ignore (Atomic.fetch_and_add t 1 : int)
   let add (t : t) n = ignore (Atomic.fetch_and_add t n : int)
   let value (t : t) = Atomic.get t
-  let mirror (t : t) v = Atomic.set t v
 end
 
 module Gauge = struct
@@ -28,96 +27,48 @@ module Gauge = struct
 end
 
 module Histogram = struct
-  (* floor(log2 v) in a handful of branchless steps; v=0 lands in
-     bucket 0 with v=1 (a sub-2ns latency is indistinguishable from
-     1ns at this resolution). *)
-  let bucket_of v =
-    if v <= 1 then 0
-    else begin
-      let b = ref 0 in
-      let v = ref v in
-      if !v lsr 32 <> 0 then begin b := !b + 32; v := !v lsr 32 end;
-      if !v lsr 16 <> 0 then begin b := !b + 16; v := !v lsr 16 end;
-      if !v lsr 8 <> 0 then begin b := !b + 8; v := !v lsr 8 end;
-      if !v lsr 4 <> 0 then begin b := !b + 4; v := !v lsr 4 end;
-      if !v lsr 2 <> 0 then begin b := !b + 2; v := !v lsr 2 end;
-      if !v lsr 1 <> 0 then b := !b + 1;
-      !b
-    end
-
-  let nbuckets = 63
-
-  type shard = {
-    counts : int array;
-    mutable sum : int;
-    mutable n : int;
-  }
-
-  (* The DLS key's init closure runs in whichever domain first records,
-     so shard registration takes the histogram's mutex; recording after
-     that first touch is lock-free. The shard list only ever grows
-     (domains are few and pooled), so scrape-time merging under the
-     mutex sees every shard that ever recorded. *)
+  (* The registering domain records straight into [home]; any other
+     domain (a verify-pool worker) records into its own shard behind
+     [key], created on that domain's first record and listed in [away]
+     under [mu]. Recording is lock-free after that first touch, and a
+     histogram only one domain records into never touches [Domain.DLS].
+     Shards merge at scrape time; [away] only ever grows (domains are
+     few and pooled), so a merge sees every shard that ever recorded. *)
   type t = {
+    owner : int;
+    home : Stats.Histogram.t;
     mu : Mutex.t;
-    mutable shards : shard list;
-    key : shard Domain.DLS.key;
+    away : Stats.Histogram.t list ref;
+    key : Stats.Histogram.t Domain.DLS.key;
   }
+
+  (* [Domain.self] without the generic runtime-call wrapper: the
+     primitive only reads the domain's id, so it may be called as
+     [noalloc], which halves its cost on the record path. *)
+  external domain_id : unit -> int = "caml_ml_domain_id" [@@noalloc]
 
   let make () =
-    let mu = Mutex.create () in
-    let shards = ref [] in
-    let t_ref = ref None in
+    let mu = Mutex.create () and away = ref [] in
     let key =
       Domain.DLS.new_key (fun () ->
-          let s = { counts = Array.make nbuckets 0; sum = 0; n = 0 } in
-          (match !t_ref with
-          | Some t ->
-            Mutex.protect mu (fun () -> t.shards <- s :: t.shards)
-          | None -> shards := s :: !shards);
+          let s = Stats.Histogram.create () in
+          Mutex.protect mu (fun () -> away := s :: !away);
           s)
     in
-    let t = { mu; shards = !shards; key } in
-    t_ref := Some t;
-    t
+    { owner = domain_id (); home = Stats.Histogram.create (); mu; away; key }
 
   let record t v =
-    let v = if v < 0 then 0 else v in
-    let s = Domain.DLS.get t.key in
-    let b = bucket_of v in
-    Array.unsafe_set s.counts b (Array.unsafe_get s.counts b + 1);
-    s.sum <- s.sum + v;
-    s.n <- s.n + 1
+    Stats.Histogram.record
+      (if domain_id () = t.owner then t.home else Domain.DLS.get t.key)
+      v
 
-  (* Scrape-time merge: shard fields are read without synchronizing with
-     concurrent recorders — a metrics snapshot may be a few observations
-     behind a racing domain, which is inherent to scraping and harmless
-     (counts only grow). *)
-  let merged t =
-    let shards = Mutex.protect t.mu (fun () -> t.shards) in
-    let counts = Array.make nbuckets 0 in
-    let sum = ref 0 and n = ref 0 in
-    List.iter
-      (fun s ->
-        for i = 0 to nbuckets - 1 do
-          counts.(i) <- counts.(i) + s.counts.(i)
-        done;
-        sum := !sum + s.sum;
-        n := !n + s.n)
-      shards;
-    (counts, !sum, !n)
-
-  let count t =
-    let _, _, n = merged t in
-    n
-
-  let sum t =
-    let _, s, _ = merged t in
-    s
-
-  let buckets t =
-    let c, _, _ = merged t in
-    c
+  (* Shard fields are read without synchronizing with concurrent
+     recorders: a snapshot may be a few observations behind a racing
+     domain, which is inherent to scraping and harmless. *)
+  let shards t = t.home :: Mutex.protect t.mu (fun () -> !(t.away))
+  let snapshot t = List.fold_left Stats.Histogram.merge (Stats.Histogram.create ()) (shards t)
+  let count t = List.fold_left (fun acc s -> acc + Stats.Histogram.count s) 0 (shards t)
+  let sum t = List.fold_left (fun acc s -> acc + Stats.Histogram.sum_ns s) 0 (shards t)
 end
 
 module Registry = struct
@@ -146,25 +97,20 @@ module Registry = struct
     | Gauge _ -> "gauge"
     | Histogram _ -> "histogram"
 
-  let same_kind a b =
-    match (a, b) with
-    | Counter _, Counter _ | Gauge _, Gauge _ | Histogram _, Histogram _ -> true
-    | _ -> false
-
   let sort_labels labels =
     List.sort (fun (a, _) (b, _) -> String.compare a b) labels
 
   (* Idempotent registration: one instrument per (name, labels); a kind
-     mismatch is a programming error worth failing loudly on. *)
-  let register t ~name ~labels ~help fresh =
+     mismatch is a programming error worth failing loudly on. [fresh]
+     runs only when the series is new. *)
+  let register t ~name ~labels ~help ~kind fresh =
     let labels = sort_labels labels in
     Mutex.protect t.mu (fun () ->
         match
           List.find_opt (fun m -> String.equal m.name name && m.labels = labels) t.metrics
         with
         | Some m ->
-          let want = fresh () in
-          if not (same_kind m.inst want) then
+          if not (String.equal (kind_name m.inst) kind) then
             invalid_arg
               (Printf.sprintf "Obs.Registry: %s already registered as a %s" name
                  (kind_name m.inst));
@@ -175,17 +121,17 @@ module Registry = struct
           inst)
 
   let counter t ?help ?(labels = []) name =
-    match register t ~name ~labels ~help (fun () -> Counter (Counter.make ())) with
+    match register t ~name ~labels ~help ~kind:"counter" (fun () -> Counter (Counter.make ())) with
     | Counter c -> c
     | _ -> assert false
 
   let gauge t ?help ?(labels = []) name =
-    match register t ~name ~labels ~help (fun () -> Gauge (Gauge.make ())) with
+    match register t ~name ~labels ~help ~kind:"gauge" (fun () -> Gauge (Gauge.make ())) with
     | Gauge g -> g
     | _ -> assert false
 
   let histogram t ?help ?(labels = []) name =
-    match register t ~name ~labels ~help (fun () -> Histogram (Histogram.make ())) with
+    match register t ~name ~labels ~help ~kind:"histogram" (fun () -> Histogram (Histogram.make ())) with
     | Histogram h -> h
     | _ -> assert false
 
@@ -214,24 +160,32 @@ module Registry = struct
       in
       "{" ^ String.concat "," parts ^ "}"
 
-  (* [le] upper bound (inclusive) of log2 bucket [b]: the largest value
-     with floor(log2 v) = b. *)
-  let bucket_le b = (1 lsl (b + 1)) - 1
-
+  (* Cumulative [le] lines for every bucket from the lowest to the
+     highest occupied one, [le] being the bucket's largest member; the
+     open-ended top bucket is counted by [+Inf] alone. *)
   let emit_histogram buf name labels h =
-    let counts, sum, n = Histogram.merged h in
-    let hi = ref (-1) in
-    Array.iteri (fun i c -> if c > 0 then hi := i) counts;
-    let cum = ref 0 in
-    for b = 0 to !hi do
-      cum := !cum + counts.(b);
-      let labels = labels @ [ ("le", string_of_int (bucket_le b)) ] in
-      Buffer.add_string buf (Printf.sprintf "%s_bucket%s %d\n" name (label_str labels) !cum)
+    let s = Histogram.snapshot h in
+    let n = Stats.Histogram.count s in
+    let line suffix labels v =
+      Buffer.add_string buf (Printf.sprintf "%s%s%s %d\n" name suffix (label_str labels) v)
+    in
+    let top = Stats.Histogram.num_buckets - 1 in
+    let lo = ref top and hi = ref (-1) in
+    for b = 0 to top - 1 do
+      if Stats.Histogram.bucket s b > 0 then begin
+        if !lo = top then lo := b;
+        hi := b
+      end
     done;
-    Buffer.add_string buf
-      (Printf.sprintf "%s_bucket%s %d\n" name (label_str (labels @ [ ("le", "+Inf") ])) n);
-    Buffer.add_string buf (Printf.sprintf "%s_sum%s %d\n" name (label_str labels) sum);
-    Buffer.add_string buf (Printf.sprintf "%s_count%s %d\n" name (label_str labels) n)
+    let cum = ref 0 in
+    for b = !lo to !hi do
+      cum := !cum + Stats.Histogram.bucket s b;
+      let le = string_of_int (Stats.Histogram.bucket_lower (b + 1) - 1) in
+      line "_bucket" (labels @ [ ("le", le) ]) !cum
+    done;
+    line "_bucket" (labels @ [ ("le", "+Inf") ]) n;
+    line "_sum" labels (Stats.Histogram.sum_ns s);
+    line "_count" labels n
 
   let expose t =
     let collectors = Mutex.protect t.mu (fun () -> List.rev t.collectors) in

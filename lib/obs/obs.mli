@@ -1,18 +1,21 @@
 (** Unified metrics layer: a domain-safe, allocation-disciplined registry
-    of monotonic counters, gauges and log-2-bucketed latency histograms,
-    with a Prometheus-style text exposition format.
+    of monotonic counters, gauges and latency histograms, with a
+    Prometheus-style text exposition format.
 
-    Every subsystem (consensus, transport, verify pool, store) registers
-    its instruments against a {!Registry.t} at construction time and
-    keeps the returned handles; the hot paths then touch only those
-    handles. The discipline:
+    Every subsystem (client tally, consensus, transport, verify pool,
+    store) registers its instruments against a {!Registry.t} at
+    construction time and keeps the returned handles; the hot paths then
+    touch only those handles, and the subsystem reads its own counts
+    back from them — one record per measurement, nothing copied at
+    scrape time. The discipline:
 
     - a {!Counter.incr} / {!Gauge.set} is one [Atomic] operation — a few
       nanoseconds, zero minor words (the micro bench gates this);
-    - a {!Histogram.record} updates a {e per-domain} shard reached
-      through [Domain.DLS], so worker domains (the verify pool) record
-      without contending with the event loop; shards are merged only at
-      scrape time;
+    - a {!Histogram.record} updates a {e per-domain}
+      {!Stats.Histogram.t} shard (~2% geometric buckets, the same
+      histogram every report reads), so worker domains (the verify pool)
+      record without contending with the event loop; shards are merged
+      only at scrape time; zero minor words, gated like the counter;
     - scraping ({!Registry.expose}) is read-only and idempotent —
       instruments are cumulative, the scraper never resets them.
 
@@ -28,12 +31,6 @@ module Counter : sig
 
   val add : t -> int -> unit
   val value : t -> int
-
-  val mirror : t -> int -> unit
-  (** [mirror c v] sets the counter to [v] — for scrape-time collect
-      hooks ({!Registry.on_collect}) that mirror a subsystem's existing
-      monotonic counter instead of double-counting on the hot path.
-      Never use it on an instrument that is also [incr]'d. *)
 end
 
 module Gauge : sig
@@ -48,17 +45,17 @@ module Histogram : sig
   type t
 
   val record : t -> int -> unit
-  (** [record h v] adds one observation (a nanosecond latency, a queue
-      length…) to the calling domain's shard. Negative values clamp to
-      zero. Bucket [b] holds values in [\[2^b, 2^{b+1})]. *)
+  (** [record h v] adds one nanosecond observation to the calling
+      domain's shard ({!Stats.Histogram.record}). *)
 
   val count : t -> int
   (** Observations across all shards. *)
 
   val sum : t -> int
 
-  val buckets : t -> int array
-  (** Merged per-bucket (non-cumulative) counts, index = floor(log2 v). *)
+  val snapshot : t -> Stats.Histogram.t
+  (** A fresh merge of every shard: the quantiles, mean, min and max a
+      single-domain {!Stats.Histogram.t} fed the same values reports. *)
 end
 
 module Registry : sig
@@ -71,7 +68,10 @@ module Registry : sig
       replica re-attaches to its counters instead of shadowing them).
       Asking for an existing name+labels under a different metric kind
       raises [Invalid_argument]. Labels are sorted internally; [help] is
-      kept from the first registration. *)
+      kept from the first registration. Subsystems read their counts back
+      from these instruments, so a registry serves one run: a second
+      cluster registered on it would keep counting on the first one's
+      series. *)
 
   val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> Counter.t
   val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> Gauge.t
@@ -81,9 +81,10 @@ module Registry : sig
 
   val on_collect : t -> (unit -> unit) -> unit
   (** Registers a hook run at the start of every {!expose}: the place to
-      refresh gauges (queue depths, live connections) or {!Counter.mirror}
-      a subsystem's pre-existing counters. Hooks run in registration
-      order and must not register new instruments. *)
+      refresh gauges that sample state (queue depths, live connections).
+      Counters are never written here — they are bumped where the event
+      happens. Hooks run in registration order and must not register new
+      instruments. *)
 
   val expose : t -> string
   (** The full registry in Prometheus text exposition format:
@@ -91,8 +92,10 @@ module Registry : sig
       [name{label="v",...} value] line per instrument, families and
       label sets in sorted order — deterministic, so two scrapes of an
       idle registry are byte-identical. Histograms render cumulative
-      [_bucket{le="..."}] lines (one per power-of-two bucket up to the
-      highest occupied, then [le="+Inf"]), plus [_sum] and [_count]. *)
+      [_bucket{le="..."}] lines, one per geometric bucket from the lowest
+      to the highest occupied ([le] = the bucket's largest nanosecond
+      value; the open-ended top bucket only under [+Inf]), then
+      [le="+Inf"], [_sum] and [_count]. *)
 
   val dump_file : t -> string -> unit
   (** Writes {!expose} to a file atomically (temp file + rename), so a

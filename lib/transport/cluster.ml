@@ -259,7 +259,16 @@ let set_fault_filter t id f = Conn.set_fault (Runtime.conn t.nodes.(id)) f
 
 (* Cluster-wide data-plane counters: per-node [Conn.stats] summed. *)
 let transport_stats t =
-  let acc =
+  Array.fold_left
+    (fun (acc : Conn.stats) node ->
+      let s = Conn.stats (Runtime.conn node) in
+      { Conn.write_syscalls = acc.write_syscalls + s.write_syscalls;
+        read_syscalls = acc.read_syscalls + s.read_syscalls;
+        frames_sent = acc.frames_sent + s.frames_sent;
+        frames_recvd = acc.frames_recvd + s.frames_recvd;
+        bytes_sent = acc.bytes_sent + s.bytes_sent;
+        bytes_recvd = acc.bytes_recvd + s.bytes_recvd;
+        reconnects = acc.reconnects + s.reconnects })
     { Conn.write_syscalls = 0;
       read_syscalls = 0;
       frames_sent = 0;
@@ -267,19 +276,7 @@ let transport_stats t =
       bytes_sent = 0;
       bytes_recvd = 0;
       reconnects = 0 }
-  in
-  Array.iter
-    (fun node ->
-      let s = Conn.stats (Runtime.conn node) in
-      acc.Conn.write_syscalls <- acc.Conn.write_syscalls + s.Conn.write_syscalls;
-      acc.Conn.read_syscalls <- acc.Conn.read_syscalls + s.Conn.read_syscalls;
-      acc.Conn.frames_sent <- acc.Conn.frames_sent + s.Conn.frames_sent;
-      acc.Conn.frames_recvd <- acc.Conn.frames_recvd + s.Conn.frames_recvd;
-      acc.Conn.bytes_sent <- acc.Conn.bytes_sent + s.Conn.bytes_sent;
-      acc.Conn.bytes_recvd <- acc.Conn.bytes_recvd + s.Conn.bytes_recvd;
-      acc.Conn.reconnects <- acc.Conn.reconnects + s.Conn.reconnects)
-    t.nodes;
-  acc
+    t.nodes
 
 let run_while t pred = Loop.run_while t.loop (fun () -> pred t)
 

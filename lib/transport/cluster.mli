@@ -75,9 +75,11 @@ val create :
     binding any socket, when [cfg.n] exceeds {!max_replicas}.
 
     [obs] attaches a metrics registry to every layer: per-replica
-    consensus counters, per-node transport mirrors, the shared verify
+    consensus counters, per-node transport counters, the shared verify
     pool and the per-node WAL stores, plus [Core.Driver]'s
-    [leopard_confirm_latency_ns] histogram and client aggregates.
+    [leopard_confirm_latency_ns] histogram and client aggregates. The
+    report's counts are read back from these instruments, so a registry
+    serves one cluster.
     [metrics_out] writes the exposition text to that file — atomically,
     at most once per [metrics_interval_ns] (default 1 s) from a loop
     tick, and a final time in {!close}; when [metrics_out] is given

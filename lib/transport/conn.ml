@@ -96,13 +96,13 @@ type fault_verdict =
   | Fault_duplicate
 
 type stats = {
-  mutable write_syscalls : int;
-  mutable read_syscalls : int;
-  mutable frames_sent : int;  (* fully handed to the kernel *)
-  mutable frames_recvd : int; (* parsed, hellos included *)
-  mutable bytes_sent : int;
-  mutable bytes_recvd : int;
-  mutable reconnects : int;   (* backoff redials scheduled *)
+  write_syscalls : int;
+  read_syscalls : int;
+  frames_sent : int;  (* fully handed to the kernel *)
+  frames_recvd : int; (* parsed, hellos included *)
+  bytes_sent : int;
+  bytes_recvd : int;
+  reconnects : int;   (* backoff redials scheduled *)
 }
 
 type t = {
@@ -116,33 +116,41 @@ type t = {
   addrs : (Net.Node_id.t, Unix.sockaddr) Hashtbl.t;
   mutable listener : Unix.file_descr option;
   mutable down : bool;
-  (* Drop accounting, split by cause so overload (backpressure) is never
-     conflated with a dead peer window (disconnected) or a missing
-     address. [dropped] below reports the sum. *)
-  mutable dropped_backpressure : int;
-  mutable dropped_no_addr : int;
-  mutable dropped_disconnected : int;
-  (* Backpressure drops by message kind ([Core.Msg.kind_index]-indexed):
-     the kind-aware policy's audit trail — consensus-critical kinds must
-     stay at zero while datablock frames absorb the overload. *)
-  dropped_kinds : int array;
   mutable fault : (dst:Net.Node_id.t -> Core.Msg.t -> fault_verdict) option;
-  mutable faulted : int;
   mutable max_write : int; (* debug clamp on bytes per write(2) *)
   mutable flushq : out_conn list; (* peers with frames queued this tick *)
   mutable tick : Loop.tick_handle option; (* flush hook; removed on close *)
   rng : Random.State.t;
   pool : Pool.t;
   scratch : Bytes.t; (* drain buffer for dialed-connection reads *)
-  stats : stats;
+  (* The node's counters, bumped where they happen and read back by
+     [stats] and the accessors below. *)
+  write_syscalls : Obs.Counter.t;
+  read_syscalls : Obs.Counter.t;
+  frames_sent : Obs.Counter.t;
+  frames_recvd : Obs.Counter.t;
+  bytes_sent : Obs.Counter.t;
+  bytes_recvd : Obs.Counter.t;
+  reconnects : Obs.Counter.t;
+  faulted : Obs.Counter.t;
+  (* Drop accounting, split by cause so overload (backpressure) is never
+     conflated with a dead peer window (disconnected) or a missing
+     address. [dropped] below reports the sum. *)
+  dropped_backpressure : Obs.Counter.t;
+  dropped_no_addr : Obs.Counter.t;
+  dropped_disconnected : Obs.Counter.t;
+  (* Backpressure drops by message kind ([Core.Msg.kind_index]-indexed):
+     the kind-aware policy's audit trail — consensus-critical kinds must
+     stay at zero while datablock frames absorb the overload. *)
+  dropped_kinds : Obs.Counter.t array;
 }
 
 let is_down t = t.down
-let dropped t = t.dropped_backpressure + t.dropped_no_addr + t.dropped_disconnected
-let dropped_backpressure t = t.dropped_backpressure
-let dropped_no_addr t = t.dropped_no_addr
-let dropped_disconnected t = t.dropped_disconnected
-let dropped_by_kind t kind = t.dropped_kinds.(Core.Msg.kind_index kind)
+let dropped_backpressure t = Obs.Counter.value t.dropped_backpressure
+let dropped_no_addr t = Obs.Counter.value t.dropped_no_addr
+let dropped_disconnected t = Obs.Counter.value t.dropped_disconnected
+let dropped t = dropped_backpressure t + dropped_no_addr t + dropped_disconnected t
+let dropped_by_kind t kind = Obs.Counter.value t.dropped_kinds.(Core.Msg.kind_index kind)
 
 (* Egress queue pressure: the fullest peer queue relative to the HWM.
    0 = idle; >= 1 = at or beyond the bulk-frame drop threshold (the
@@ -162,8 +170,17 @@ let peer_pressure t dst =
     | Some oc -> float_of_int oc.q_bytes /. float_of_int t.hwm
 
 let set_fault t f = t.fault <- f
-let faulted t = t.faulted
-let stats t = t.stats
+let faulted t = Obs.Counter.value t.faulted
+
+let stats t : stats =
+  let v = Obs.Counter.value in
+  { write_syscalls = v t.write_syscalls;
+    read_syscalls = v t.read_syscalls;
+    frames_sent = v t.frames_sent;
+    frames_recvd = v t.frames_recvd;
+    bytes_sent = v t.bytes_sent;
+    bytes_recvd = v t.bytes_recvd;
+    reconnects = v t.reconnects }
 let pool t = t.pool
 let set_max_write t n = t.max_write <- (if n <= 0 then max_int else n)
 
@@ -188,7 +205,7 @@ let close_in t (ic : in_conn) =
    [dropped_disconnected] so overload diagnostics are not polluted by
    ordinary crash/reconnect churn. *)
 let drop_queue t oc =
-  t.dropped_disconnected <- t.dropped_disconnected + Ring.length oc.q;
+  Obs.Counter.add t.dropped_disconnected (Ring.length oc.q);
   Ring.clear oc.q;
   oc.q_bytes <- 0;
   oc.head_off <- 0;
@@ -215,7 +232,7 @@ let queue_advance t oc n =
       ignore (Ring.pop oc.q : string);
       oc.q_bytes <- oc.q_bytes - String.length head;
       oc.head_off <- 0;
-      t.stats.frames_sent <- t.stats.frames_sent + 1;
+      Obs.Counter.incr t.frames_sent;
       rem := !rem - head_rem
     end
     else begin
@@ -307,8 +324,8 @@ and try_flush t oc =
              min (min (String.length oc.pre - oc.pre_off) t.max_write) max_single_write
            in
            let n = Unix.single_write_substring fd oc.pre oc.pre_off want in
-           t.stats.write_syscalls <- t.stats.write_syscalls + 1;
-           t.stats.bytes_sent <- t.stats.bytes_sent + n;
+           Obs.Counter.incr t.write_syscalls;
+           Obs.Counter.add t.bytes_sent n;
            oc.pre_off <- oc.pre_off + n;
            if n < want then blocked := true
          end
@@ -318,8 +335,8 @@ and try_flush t oc =
            if head_rem >= Bytes.length oc.wbuf || Ring.length oc.q = 1 then begin
              let want = min (min head_rem t.max_write) max_single_write in
              let n = Unix.single_write_substring fd head oc.head_off want in
-             t.stats.write_syscalls <- t.stats.write_syscalls + 1;
-             t.stats.bytes_sent <- t.stats.bytes_sent + n;
+             Obs.Counter.incr t.write_syscalls;
+             Obs.Counter.add t.bytes_sent n;
              queue_advance t oc n;
              if n < want then blocked := true
            end
@@ -327,8 +344,8 @@ and try_flush t oc =
              let filled = gather oc in
              let want = min (min filled t.max_write) max_single_write in
              let n = Unix.single_write fd oc.wbuf 0 want in
-             t.stats.write_syscalls <- t.stats.write_syscalls + 1;
-             t.stats.bytes_sent <- t.stats.bytes_sent + n;
+             Obs.Counter.incr t.write_syscalls;
+             Obs.Counter.add t.bytes_sent n;
              queue_advance t oc n;
              if n < want then blocked := true
            end
@@ -360,14 +377,14 @@ and fail_out t oc =
       oc.q_bytes <- oc.q_bytes - String.length head
     end;
     oc.head_off <- 0;
-    t.dropped_disconnected <- t.dropped_disconnected + 1
+    Obs.Counter.incr t.dropped_disconnected
   end;
   oc.pre <- "";
   oc.pre_off <- 0;
   if not t.down then schedule_redial t oc
 
 and schedule_redial t oc =
-  t.stats.reconnects <- t.stats.reconnects + 1;
+  Obs.Counter.incr t.reconnects;
   let b = oc.backoff_ns in
   let delay_ns = (b / 2) + Random.State.int t.rng (max 1 (b / 2)) in
   oc.backoff_ns <- min backoff_cap_ns (b * 2);
@@ -392,9 +409,20 @@ let flush_pending t =
         try_flush t oc)
       ocs
 
-let create ~loop ~id ?obs ?(max_frame = Frame.default_max_frame)
+let create ~loop ~id ?(obs = Obs.Registry.create ()) ?(max_frame = Frame.default_max_frame)
     ?(outbuf_hwm = default_outbuf_hwm) ?pool ~on_msg () =
   let pool = match pool with Some p -> p | None -> Pool.create () in
+  let labels = [ ("node", string_of_int id) ] in
+  let c ?(labels = labels) name help = Obs.Registry.counter obs ~help ~labels name in
+  let g name help = Obs.Registry.gauge obs ~help ~labels name in
+  let drop_reason reason =
+    c ~labels:(("reason", reason) :: labels) "leopard_transport_dropped_total"
+      "frames dropped, by cause"
+  in
+  let drop_kind k =
+    c ~labels:(("kind", Core.Msg.kind_name k) :: labels) "leopard_transport_dropped_kind_total"
+      "backpressure drops, by frame kind"
+  in
   let t =
     { loop;
       id;
@@ -406,88 +434,41 @@ let create ~loop ~id ?obs ?(max_frame = Frame.default_max_frame)
       addrs = Hashtbl.create 16;
       listener = None;
       down = false;
-      dropped_backpressure = 0;
-      dropped_no_addr = 0;
-      dropped_disconnected = 0;
-      dropped_kinds = Array.make Core.Msg.num_kinds 0;
       fault = None;
-      faulted = 0;
       max_write = max_int;
       flushq = [];
       tick = None;
       rng = Random.State.make [| 0x1e09a4d; id |];
       pool;
       scratch = Pool.acquire pool read_chunk;
-      stats =
-        { write_syscalls = 0;
-          read_syscalls = 0;
-          frames_sent = 0;
-          frames_recvd = 0;
-          bytes_sent = 0;
-          bytes_recvd = 0;
-          reconnects = 0 } }
+      write_syscalls = c "leopard_transport_write_syscalls_total" "write(2) calls";
+      read_syscalls = c "leopard_transport_read_syscalls_total" "read(2) calls";
+      frames_sent = c "leopard_transport_frames_sent_total" "frames handed to the kernel";
+      frames_recvd = c "leopard_transport_frames_recvd_total" "frames parsed";
+      bytes_sent = c "leopard_transport_bytes_sent_total" "payload+header bytes written";
+      bytes_recvd = c "leopard_transport_bytes_recvd_total" "bytes read";
+      reconnects = c "leopard_transport_reconnects_total" "backoff redials scheduled";
+      faulted = c "leopard_transport_faulted_total" "messages hit by the fault filter";
+      dropped_backpressure = drop_reason "backpressure";
+      dropped_no_addr = drop_reason "no_addr";
+      dropped_disconnected = drop_reason "disconnected";
+      dropped_kinds = Array.of_list (List.map drop_kind Core.Msg.all_kinds) }
   in
   t.tick <- Some (Loop.on_tick loop (fun () -> flush_pending t));
-  (match obs with
-  | None -> ()
-  | Some reg ->
-      (* Scrape-time mirror of the per-node plain-int counters: the
-         read/write hot paths keep their existing field bumps, obs costs
-         nothing until someone scrapes. *)
-      let labels = [ ("node", string_of_int id) ] in
-      let c name help = Obs.Registry.counter reg ~help ~labels name in
-      let g name help = Obs.Registry.gauge reg ~help ~labels name in
-      let frames_sent = c "leopard_transport_frames_sent_total" "frames handed to the kernel" in
-      let frames_recvd = c "leopard_transport_frames_recvd_total" "frames parsed" in
-      let bytes_sent = c "leopard_transport_bytes_sent_total" "payload+header bytes written" in
-      let bytes_recvd = c "leopard_transport_bytes_recvd_total" "bytes read" in
-      let writes = c "leopard_transport_write_syscalls_total" "write(2) calls" in
-      let reads = c "leopard_transport_read_syscalls_total" "read(2) calls" in
-      let drop_reason reason =
-        Obs.Registry.counter reg ~help:"frames dropped, by cause"
-          ~labels:(("reason", reason) :: labels)
-          "leopard_transport_dropped_total"
+  let live = g "leopard_transport_live_connections" "established connections, both directions" in
+  let coalesce =
+    g "leopard_transport_coalesce_ratio_x1000" "write syscalls per frame sent, x1000"
+  in
+  Obs.Registry.on_collect obs (fun () ->
+      let outs_live =
+        Hashtbl.fold
+          (fun _ oc acc -> match oc.state with Connected _ -> acc + 1 | _ -> acc)
+          t.outs 0
       in
-      let drops_bp = drop_reason "backpressure" in
-      let drops_na = drop_reason "no_addr" in
-      let drops_dc = drop_reason "disconnected" in
-      let drops_kind =
-        List.map
-          (fun k ->
-            ( Core.Msg.kind_index k,
-              Obs.Registry.counter reg ~help:"backpressure drops, by frame kind"
-                ~labels:(("kind", Core.Msg.kind_name k) :: labels)
-                "leopard_transport_dropped_kind_total" ))
-          Core.Msg.all_kinds
-      in
-      let faulted_c = c "leopard_transport_faulted_total" "messages hit by the fault filter" in
-      let reconnects = c "leopard_transport_reconnects_total" "backoff redials scheduled" in
-      let live = g "leopard_transport_live_connections" "established connections, both directions" in
-      let coalesce =
-        g "leopard_transport_coalesce_ratio_x1000" "write syscalls per frame sent, x1000"
-      in
-      Obs.Registry.on_collect reg (fun () ->
-          let s = t.stats in
-          Obs.Counter.mirror frames_sent s.frames_sent;
-          Obs.Counter.mirror frames_recvd s.frames_recvd;
-          Obs.Counter.mirror bytes_sent s.bytes_sent;
-          Obs.Counter.mirror bytes_recvd s.bytes_recvd;
-          Obs.Counter.mirror writes s.write_syscalls;
-          Obs.Counter.mirror reads s.read_syscalls;
-          Obs.Counter.mirror drops_bp t.dropped_backpressure;
-          Obs.Counter.mirror drops_na t.dropped_no_addr;
-          Obs.Counter.mirror drops_dc t.dropped_disconnected;
-          List.iter (fun (i, ctr) -> Obs.Counter.mirror ctr t.dropped_kinds.(i)) drops_kind;
-          Obs.Counter.mirror faulted_c t.faulted;
-          Obs.Counter.mirror reconnects s.reconnects;
-          let outs_live =
-            Hashtbl.fold
-              (fun _ oc acc -> match oc.state with Connected _ -> acc + 1 | _ -> acc)
-              t.outs 0
-          in
-          Obs.Gauge.set live (outs_live + Hashtbl.length t.ins);
-          if s.frames_sent > 0 then
-            Obs.Gauge.set coalesce (s.write_syscalls * 1000 / s.frames_sent)));
+      Obs.Gauge.set live (outs_live + Hashtbl.length t.ins);
+      let frames = Obs.Counter.value t.frames_sent in
+      if frames > 0 then
+        Obs.Gauge.set coalesce (Obs.Counter.value t.write_syscalls * 1000 / frames));
   t
 
 let out_conn t dst =
@@ -525,7 +506,7 @@ let consensus_headroom_factor = 2
 let enqueue_frame t ~dst ~kind frame =
   if not t.down then begin
     let oc = out_conn t dst in
-    if not (Hashtbl.mem t.addrs dst) then t.dropped_no_addr <- t.dropped_no_addr + 1
+    if not (Hashtbl.mem t.addrs dst) then Obs.Counter.incr t.dropped_no_addr
     else begin
       let limit =
         match Core.Msg.kind_priority kind with
@@ -533,9 +514,8 @@ let enqueue_frame t ~dst ~kind frame =
         | Net.Nic.Low -> t.hwm
       in
       if oc.q_bytes + String.length frame > limit then begin
-        t.dropped_backpressure <- t.dropped_backpressure + 1;
-        let i = Core.Msg.kind_index kind in
-        t.dropped_kinds.(i) <- t.dropped_kinds.(i) + 1
+        Obs.Counter.incr t.dropped_backpressure;
+        Obs.Counter.incr t.dropped_kinds.(Core.Msg.kind_index kind)
       end
       else begin
         Ring.push oc.q frame;
@@ -571,14 +551,14 @@ let send t ~dst msg =
     | Some f -> (
       match f ~dst msg with
       | Pass -> enqueue t ~dst msg
-      | Fault_drop -> t.faulted <- t.faulted + 1
+      | Fault_drop -> Obs.Counter.incr t.faulted
       | Fault_delay d ->
-        t.faulted <- t.faulted + 1;
+        Obs.Counter.incr t.faulted;
         ignore
           (Loop.schedule t.loop ~delay:d (fun () -> enqueue t ~dst msg)
             : Loop.handle)
       | Fault_duplicate ->
-        t.faulted <- t.faulted + 1;
+        Obs.Counter.incr t.faulted;
         enqueue t ~dst msg;
         enqueue t ~dst msg)
 
@@ -596,14 +576,14 @@ let multicast t ~n msg =
         | Some f -> (
           match f ~dst msg with
           | Pass -> enqueue_frame t ~dst ~kind frame
-          | Fault_drop -> t.faulted <- t.faulted + 1
+          | Fault_drop -> Obs.Counter.incr t.faulted
           | Fault_delay d ->
-            t.faulted <- t.faulted + 1;
+            Obs.Counter.incr t.faulted;
             ignore
               (Loop.schedule t.loop ~delay:d (fun () -> enqueue_frame t ~dst ~kind frame)
                 : Loop.handle)
           | Fault_duplicate ->
-            t.faulted <- t.faulted + 1;
+            Obs.Counter.incr t.faulted;
             enqueue_frame t ~dst ~kind frame;
             enqueue_frame t ~dst ~kind frame)
       end
@@ -615,7 +595,7 @@ let multicast t ~n msg =
 exception Protocol_violation
 
 let handle_frame t ic frame =
-  t.stats.frames_recvd <- t.stats.frames_recvd + 1;
+  Obs.Counter.incr t.frames_recvd;
   match (ic.src, frame) with
   | None, Frame.Hello src -> ic.src <- Some src
   | Some src, Frame.Msg m -> if not t.down then t.on_msg ~src m
@@ -632,8 +612,8 @@ let read_in t ic =
   with
   | 0 -> close_in t ic
   | n -> (
-    t.stats.read_syscalls <- t.stats.read_syscalls + 1;
-    t.stats.bytes_recvd <- t.stats.bytes_recvd + n;
+    Obs.Counter.incr t.read_syscalls;
+    Obs.Counter.add t.bytes_recvd n;
     match Frame.commit ic.reader n (handle_frame t ic) with
     | Ok () -> ()
     | Error _ -> close_in t ic

@@ -47,12 +47,13 @@ val create :
 (** [outbuf_hwm] is the per-peer queued-bytes bound (default 4 MiB).
     [pool] supplies reader/scratch/gather buffers (default: a private
     pool; pass one explicitly to share across nodes or to enable debug
-    poisoning). [?obs] registers a scrape-time collect hook that mirrors
-    this node's {!stats}, drop/fault counters, live-connection count and
-    write-coalescing ratio as [leopard_transport_*] metrics labeled
-    [node="<id>"] — the send/receive hot paths are untouched. Drops are
-    split by cause ([leopard_transport_dropped_total{reason=...}] with
-    [backpressure]/[no_addr]/[disconnected]) and backpressure drops
+    poisoning). This node's {!stats}, drop and fault counters are
+    [leopard_transport_*] counters labeled [node="<id>"] in [obs] (a
+    private registry when none is given), bumped in place on the send and
+    receive paths and read back by the accessors below; a collect hook
+    refreshes the live-connection and write-coalescing gauges at scrape.
+    Drops are split by cause ([leopard_transport_dropped_total{reason=...}]
+    with [backpressure]/[no_addr]/[disconnected]) and backpressure drops
     additionally by frame kind
     ([leopard_transport_dropped_kind_total{kind=...}]). *)
 
@@ -143,18 +144,18 @@ val live_connections : t -> int
 (** {2 Instrumentation} *)
 
 type stats = {
-  mutable write_syscalls : int;
-  mutable read_syscalls : int;
-  mutable frames_sent : int;  (** frames fully handed to the kernel *)
-  mutable frames_recvd : int; (** frames parsed, hellos included *)
-  mutable bytes_sent : int;
-  mutable bytes_recvd : int;
-  mutable reconnects : int;   (** backoff redials scheduled *)
+  write_syscalls : int;
+  read_syscalls : int;
+  frames_sent : int;  (** frames fully handed to the kernel *)
+  frames_recvd : int; (** frames parsed, hellos included *)
+  bytes_sent : int;
+  bytes_recvd : int;
+  reconnects : int;   (** backoff redials scheduled *)
 }
 
 val stats : t -> stats
-(** Live counters (mutated in place as the node runs). [write_syscalls]
-    vs [frames_sent] is the coalescing ratio the net benchmark gates. *)
+(** The node's counters, read at call time. [write_syscalls] vs
+    [frames_sent] is the coalescing ratio the net benchmark gates. *)
 
 val pool : t -> Pool.t
 (** The buffer pool behind this node's readers and scratch. *)

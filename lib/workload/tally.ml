@@ -3,32 +3,28 @@ type t = {
   counts : (int, int ref) Hashtbl.t; (* per serial, above [pruned_below] *)
   ids : (int, unit) Hashtbl.t; (* batches counted *)
   mutable pruned_below : int;
-  mutable confirmed : int;
-  mutable serials : int;
   confirm_meter : Stats.Meter.t;
   goodput_meter : Stats.Meter.t; (* payload bytes confirmed *)
-  latency : Stats.Histogram.t;
-  obs : (Obs.Histogram.t * Obs.Counter.t) option;
+  (* the one record of each count, read back by the accessors below *)
+  latency : Obs.Histogram.t;
+  confirmed : Obs.Counter.t;
+  serials : Obs.Counter.t;
 }
 
-let create ~f_plus_1 ?obs () =
+let create ~f_plus_1 ?(obs = Obs.Registry.create ()) () =
   { f_plus_1;
     counts = Hashtbl.create 1024;
     ids = Hashtbl.create 1024;
     pruned_below = 0;
-    confirmed = 0;
-    serials = 0;
     confirm_meter = Stats.Meter.create ();
     goodput_meter = Stats.Meter.create ();
-    latency = Stats.Histogram.create ();
-    obs =
-      Option.map
-        (fun reg ->
-          ( Obs.Registry.histogram reg ~help:"submit to f+1-confirm latency (ns)"
-              "leopard_confirm_latency_ns",
-            Obs.Registry.counter reg ~help:"client requests confirmed"
-              "leopard_confirmed_requests_total" ))
-        obs }
+    latency =
+      Obs.Registry.histogram obs ~help:"submit to f+1-confirm latency (ns)"
+        "leopard_confirm_latency_ns";
+    confirmed =
+      Obs.Registry.counter obs ~help:"client requests confirmed" "leopard_confirmed_requests_total";
+    serials =
+      Obs.Registry.counter obs ~help:"blocks f+1-executed" "leopard_cluster_executed_blocks_total" }
 
 let executed t ~sn =
   if sn <= t.pruned_below then false
@@ -43,7 +39,7 @@ let executed t ~sn =
     in
     incr c;
     let fires = !c = t.f_plus_1 in
-    if fires then t.serials <- t.serials + 1;
+    if fires then Obs.Counter.incr t.serials;
     fires
   end
 
@@ -51,16 +47,10 @@ let confirm t ~at (b : Request.t) =
   if Hashtbl.mem t.ids b.id then false
   else begin
     Hashtbl.add t.ids b.id ();
-    let wait = Sim.Sim_time.(at - b.born) in
-    t.confirmed <- t.confirmed + b.count;
+    Obs.Counter.add t.confirmed b.count;
     Stats.Meter.add t.confirm_meter ~at b.count;
     Stats.Meter.add t.goodput_meter ~at (Request.payload_bytes b);
-    Stats.Histogram.add t.latency wait;
-    (match t.obs with
-     | Some (h, c) ->
-       Obs.Histogram.record h (Int64.to_int wait);
-       Obs.Counter.add c b.count
-     | None -> ());
+    Obs.Histogram.record t.latency (Int64.to_int Sim.Sim_time.(at - b.born));
     true
   end
 
@@ -78,8 +68,8 @@ let close t =
   Hashtbl.reset t.counts;
   Hashtbl.reset t.ids
 
-let confirmed t = t.confirmed
-let serials t = t.serials
-let latency t = t.latency
+let confirmed t = Obs.Counter.value t.confirmed
+let serials t = Obs.Counter.value t.serials
+let latency t = Obs.Histogram.snapshot t.latency
 let throughput t ~from_ ~until = Stats.Meter.rate t.confirm_meter ~from_ ~until
 let goodput_bps t ~from_ ~until = 8. *. Stats.Meter.rate t.goodput_meter ~from_ ~until

@@ -4,10 +4,12 @@
     accepts a response once f+1 replicas sent the same one (§4.1). The
     tally makes that decision from the replicas' per-serial execution (or
     commit) reports and owns everything measured at that instant: the
-    confirmed-request count, the number of serials that reached f+1, the
-    confirm and goodput meters and the confirm-latency histogram, and, with
-    a registry attached, the [leopard_confirm_latency_ns] and
-    [leopard_confirmed_requests_total] instruments.
+    confirm and goodput meters and three instruments, recorded once and
+    read back by the accessors below — the confirm-latency histogram
+    [leopard_confirm_latency_ns], the confirmed-request count
+    [leopard_confirmed_requests_total] and the number of serials that
+    reached f+1, [leopard_cluster_executed_blocks_total]. They live in
+    the attached registry, or in a private one when none is given.
 
     A batch counts once, whichever copy of it a confirmed serial carries:
     a timeout re-send ({!Request.resend_of}), a fan-out copy, or a copy
@@ -47,7 +49,8 @@ val serials : t -> int
 (** Serials that reached f+1 reports. *)
 
 val latency : t -> Stats.Histogram.t
-(** Submit-to-confirm latency, one sample per confirmed batch. *)
+(** Submit-to-confirm latency, one sample per confirmed batch: a fresh
+    snapshot of the histogram. *)
 
 val throughput : t -> from_:Sim.Sim_time.t -> until:Sim.Sim_time.t -> float
 (** Confirmed requests per second over the window. *)

@@ -1,6 +1,6 @@
 (* Obs: the unified metrics registry. Counter/gauge/histogram semantics,
-   idempotent registration, multi-domain histogram hammering (the DLS
-   shards must merge losslessly), collect hooks, and the exposition
+   idempotent registration, multi-domain histogram hammering (the
+   per-domain shards must merge losslessly), collect hooks, and the exposition
    format — including the guarantee the sim plane leans on: scraping is
    read-only, so two scrapes of an idle registry are byte-identical. *)
 
@@ -17,9 +17,7 @@ let test_counter () =
   Obs.Counter.incr c;
   Obs.Counter.incr c;
   Obs.Counter.add c 40;
-  checki "incr+add" 42 (Obs.Counter.value c);
-  Obs.Counter.mirror c 7;
-  checki "mirror overwrites" 7 (Obs.Counter.value c)
+  checki "incr+add" 42 (Obs.Counter.value c)
 
 let test_gauge () =
   let reg = Obs.Registry.create () in
@@ -33,39 +31,51 @@ let test_histogram_buckets () =
   let reg = Obs.Registry.create () in
   let h = Obs.Registry.histogram reg "h_ns" in
   checki "fresh count" 0 (Obs.Histogram.count h);
-  (* bucket b holds [2^b, 2^(b+1)): 0,1 -> b0; 2,3 -> b1; 4..7 -> b2 *)
-  List.iter (Obs.Histogram.record h) [ 0; 1; 2; 3; 4; 7; 8; 1024; -5 ];
-  checki "count" 9 (Obs.Histogram.count h);
-  checki "sum (negatives clamp to 0)" (0 + 1 + 2 + 3 + 4 + 7 + 8 + 1024 + 0)
+  (* geometric buckets: b0 = [0, 1000), b1 = [1000, 1040),
+     b2 = [1040, 1082), b3 = [1082, 1125) *)
+  let values = [ 0; 999; 1000; 1039; 1040; 1081; 1082; -5 ] in
+  List.iter (Obs.Histogram.record h) values;
+  checki "count" 8 (Obs.Histogram.count h);
+  checki "sum (negatives clamp to 0)" (0 + 999 + 1000 + 1039 + 1040 + 1081 + 1082 + 0)
     (Obs.Histogram.sum h);
-  let b = Obs.Histogram.buckets h in
-  checki "bucket 0 = {0,1,clamped -5}" 3 b.(0);
-  checki "bucket 1 = {2,3}" 2 b.(1);
-  checki "bucket 2 = {4,7}" 2 b.(2);
-  checki "bucket 3 = {8}" 1 b.(3);
-  checki "bucket 10 = {1024}" 1 b.(10)
+  let s = Obs.Histogram.snapshot h in
+  checki "bucket 0 = {0,999,clamped -5}" 3 (Stats.Histogram.bucket s 0);
+  checki "bucket 1 = {1000,1039}" 2 (Stats.Histogram.bucket s 1);
+  checki "bucket 2 = {1040,1081}" 2 (Stats.Histogram.bucket s 2);
+  checki "bucket 3 = {1082}" 1 (Stats.Histogram.bucket s 3)
 
+(* Five domains record the same values into one histogram; the merged
+   shards must report exactly what one single-domain Stats.Histogram fed
+   every value reports: no lost updates, bit-identical quantiles. *)
 let test_histogram_multidomain () =
   let reg = Obs.Registry.create () in
   let h = Obs.Registry.histogram reg "hammer_ns" in
   let per_domain = 100_000 in
+  let value i = i * 7919 mod 50_000_000 in
   let hammer () =
     for i = 1 to per_domain do
-      Obs.Histogram.record h (i land 1023)
+      Obs.Histogram.record h (value i)
     done
   in
   let ds = Array.init 4 (fun _ -> Domain.spawn hammer) in
   hammer ();
   Array.iter Domain.join ds;
-  (* 5 domains (4 spawned + this one), no lost updates across shards *)
-  checki "merged count" (5 * per_domain) (Obs.Histogram.count h);
-  let expect_sum = ref 0 in
-  for i = 1 to per_domain do
-    expect_sum := !expect_sum + (i land 1023)
+  let single = Stats.Histogram.create () in
+  for _ = 1 to 5 do
+    for i = 1 to per_domain do
+      Stats.Histogram.record single (value i)
+    done
   done;
-  checki "merged sum" (5 * !expect_sum) (Obs.Histogram.sum h);
-  checki "merged buckets total" (5 * per_domain)
-    (Array.fold_left ( + ) 0 (Obs.Histogram.buckets h))
+  let merged = Obs.Histogram.snapshot h in
+  checki "merged count" (5 * per_domain) (Obs.Histogram.count h);
+  checki "merged sum" (Stats.Histogram.sum_ns single) (Obs.Histogram.sum h);
+  let same name f = checkb name true (Float.equal (f merged) (f single)) in
+  same "mean" Stats.Histogram.mean;
+  same "min" Stats.Histogram.min_value;
+  same "max" Stats.Histogram.max_value;
+  List.iter
+    (fun q -> same (Printf.sprintf "q%.3f" q) (fun s -> Stats.Histogram.quantile s q))
+    [ 0.; 0.01; 0.25; 0.5; 0.9; 0.99; 0.999; 1. ]
 
 (* -- registry ----------------------------------------------------------- *)
 
@@ -88,17 +98,11 @@ let test_idempotent_registration () =
 let test_collect_hook () =
   let reg = Obs.Registry.create () in
   let g = Obs.Registry.gauge reg "depth" in
-  let c = Obs.Registry.counter reg "mirrored_total" in
   let source = ref 0 in
-  Obs.Registry.on_collect reg (fun () ->
-      Obs.Gauge.set g !source;
-      Obs.Counter.mirror c (!source * 10));
+  Obs.Registry.on_collect reg (fun () -> Obs.Gauge.set g !source);
   source := 5;
   let text = Obs.Registry.expose reg in
-  checkb "gauge refreshed at scrape" true
-    (String.length text > 0
-    && Obs.Gauge.value g = 5
-    && Obs.Counter.value c = 50);
+  checkb "gauge refreshed at scrape" true (String.length text > 0 && Obs.Gauge.value g = 5);
   source := 9;
   ignore (Obs.Registry.expose reg : string);
   checki "hook re-runs each scrape" 9 (Obs.Gauge.value g)
@@ -114,7 +118,9 @@ let test_expose_golden () =
   Obs.Counter.add c 3;
   Obs.Gauge.set g 7;
   Obs.Counter.incr c2;
-  List.iter (Obs.Histogram.record h) [ 1; 2; 5 ];
+  (* buckets 1 = [1000, 1040), 2 = [1040, 1082), 3 = [1082, 1125):
+     lines run from the lowest occupied bucket to the highest *)
+  List.iter (Obs.Histogram.record h) [ 1000; 1039; 1100 ];
   let expected =
     String.concat "\n"
       [ "# TYPE acks_total counter";
@@ -122,11 +128,11 @@ let test_expose_golden () =
         "# TYPE depth gauge";
         "depth 7";
         "# TYPE lat_ns histogram";
-        "lat_ns_bucket{le=\"1\"} 1";
-        "lat_ns_bucket{le=\"3\"} 2";
-        "lat_ns_bucket{le=\"7\"} 3";
+        "lat_ns_bucket{le=\"1039\"} 2";
+        "lat_ns_bucket{le=\"1081\"} 2";
+        "lat_ns_bucket{le=\"1124\"} 3";
         "lat_ns_bucket{le=\"+Inf\"} 3";
-        "lat_ns_sum 8";
+        "lat_ns_sum 3139";
         "lat_ns_count 3";
         "# HELP things_total Things done.";
         "# TYPE things_total counter";

@@ -16,7 +16,7 @@ let test_histogram_empty () =
 
 let test_histogram_exact_stats () =
   let h = Stats.Histogram.create () in
-  List.iter (fun ms -> Stats.Histogram.add h (Sim_time.ms ms)) [ 10; 20; 30; 40 ];
+  List.iter (fun ms -> Stats.Histogram.record h (ms * 1_000_000)) [ 10; 20; 30; 40 ];
   checki "count" 4 (Stats.Histogram.count h);
   checkf 1e-9 "mean" 0.025 (Stats.Histogram.mean h);
   checkf 1e-9 "min" 0.010 (Stats.Histogram.min_value h);
@@ -29,7 +29,7 @@ let prop_histogram_quantile_error =
       let rng = Rng.create seed in
       let h = Stats.Histogram.create () in
       let samples = Array.init n (fun _ -> 1_000 + Rng.int rng 10_000_000) in
-      Array.iter (fun us -> Stats.Histogram.add h (Sim_time.us us)) samples;
+      Array.iter (fun us -> Stats.Histogram.record h (us * 1_000)) samples;
       Array.sort compare samples;
       let q = 0.9 in
       (* Rank conventions differ by up to one order statistic; accept the
@@ -43,16 +43,48 @@ let prop_histogram_quantile_error =
 
 let test_histogram_merge () =
   let a = Stats.Histogram.create () and b = Stats.Histogram.create () in
-  Stats.Histogram.add a (Sim_time.ms 10);
-  Stats.Histogram.add b (Sim_time.ms 30);
+  Stats.Histogram.record a 10_000_000;
+  Stats.Histogram.record b 30_000_000;
   let m = Stats.Histogram.merge a b in
   checki "merged count" 2 (Stats.Histogram.count m);
   checkf 1e-9 "merged mean" 0.020 (Stats.Histogram.mean m)
 
 let test_histogram_negative_clamped () =
   let h = Stats.Histogram.create () in
-  Stats.Histogram.add h (-5L);
+  Stats.Histogram.record h (-5);
   checkf 1e-9 "clamped to 0" 0. (Stats.Histogram.mean h)
+
+(* The bucket formula the integer edges were derived from, kept here as
+   the reference: floor (ln (v / 1000) / ln 1.04) + 1 above 1 us, capped
+   at the last bucket. *)
+let reference_bucket v =
+  if v < 1_000 then 0
+  else
+    min (Stats.Histogram.num_buckets - 1)
+      (int_of_float (log (float_of_int v /. 1_000.) /. log 1.04) + 1)
+
+let test_histogram_edges_match_formula () =
+  let mismatches = ref [] in
+  let check v =
+    let got = Stats.Histogram.bucket_of_ns v and want = reference_bucket v in
+    if got <> want then mismatches := (v, got, want) :: !mismatches
+  in
+  for i = 1 to Stats.Histogram.num_buckets - 1 do
+    let e = Stats.Histogram.bucket_lower i in
+    check (e - 1);
+    check e;
+    check (e + 1)
+  done;
+  (* log-uniform over [1, 2^52): every bucket, including the open top *)
+  let rng = Random.State.make [| 0x5eed |] in
+  for _ = 1 to 200_000 do
+    check (int_of_float (2. ** Random.State.float rng 52.))
+  done;
+  List.iter
+    (fun (v, got, want) -> Printf.printf "v=%d: edge index %d, formula %d\n" v got want)
+    !mismatches;
+  checki "integer edges agree with the float formula" 0 (List.length !mismatches);
+  checki "bucket 1 starts at 1 us" 1_000 (Stats.Histogram.bucket_lower 1)
 
 (* -- Meter ------------------------------------------------------------------ *)
 
@@ -103,33 +135,6 @@ let test_series_render () =
   checkb "missing rendered as dash" true
     (List.exists (fun l -> String.length l > 0 && l.[0] = '2' && String.contains l '-') lines)
 
-(* -- Breakdown ----------------------------------------------------------------- *)
-
-let test_breakdown () =
-  let b = Stats.Breakdown.create () in
-  Stats.Breakdown.add b "x" 1.;
-  Stats.Breakdown.add b "y" 3.;
-  Stats.Breakdown.add b "x" 1.;
-  checkf 1e-9 "value" 2. (Stats.Breakdown.value b "x");
-  checkf 1e-9 "total" 5. (Stats.Breakdown.total b);
-  checkf 1e-9 "share" 0.4 (Stats.Breakdown.share b "x");
-  checkb "unknown zero" true (Stats.Breakdown.value b "zzz" = 0.);
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "insertion order" [ ("x", 2.); ("y", 3.) ] (Stats.Breakdown.components b)
-
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
-
-let test_breakdown_render () =
-  let b = Stats.Breakdown.create () in
-  Stats.Breakdown.add b "gen" 1.;
-  Stats.Breakdown.add b "net" 3.;
-  let out = Stats.Breakdown.render_percent ~grouping:[ ("Prep", [ "gen"; "net" ]) ] b in
-  checkb "renders SUM" true (contains_substring out "SUM");
-  checkb "renders 75%" true (contains_substring out "75.00%")
-
 (* -- Text table ------------------------------------------------------------------ *)
 
 let test_text_table () =
@@ -154,7 +159,9 @@ let () =
         [ Alcotest.test_case "empty" `Quick test_histogram_empty;
           Alcotest.test_case "exact stats" `Quick test_histogram_exact_stats;
           Alcotest.test_case "merge" `Quick test_histogram_merge;
-          Alcotest.test_case "negative clamped" `Quick test_histogram_negative_clamped ]
+          Alcotest.test_case "negative clamped" `Quick test_histogram_negative_clamped;
+          Alcotest.test_case "integer edges match the float formula" `Quick
+            test_histogram_edges_match_formula ]
         @ qsuite [ prop_histogram_quantile_error ] );
       ( "meter",
         [ Alcotest.test_case "rate" `Quick test_meter_rate;
@@ -163,9 +170,6 @@ let () =
       ( "series",
         [ Alcotest.test_case "points" `Quick test_series;
           Alcotest.test_case "render" `Quick test_series_render ] );
-      ( "breakdown",
-        [ Alcotest.test_case "accumulate" `Quick test_breakdown;
-          Alcotest.test_case "render percent" `Quick test_breakdown_render ] );
       ( "text table",
         [ Alcotest.test_case "render" `Quick test_text_table;
           Alcotest.test_case "kv" `Quick test_text_table_kv ] ) ]
